@@ -4,7 +4,7 @@
 GO ?= go
 
 .PHONY: build test test-short verify fmt-check vet lint generate generate-check \
-	metrics-guard bench-smoke bench-guard bench-trajectory load-smoke \
+	metrics-guard bench-check bench-smoke bench-guard bench-trajectory load-smoke \
 	load-stream load-disk load-broadcast load-chaos load-qos load-scale ci
 
 build:
@@ -19,7 +19,7 @@ test-short:
 	$(GO) test -short -race ./...
 
 # Tier-1 verify: exactly what reviewers and the CI gate run.
-verify: build test metrics-guard lint
+verify: build test metrics-guard lint bench-check
 
 # Metrics-name drift guard: the /metrics families the server exports are
 # pinned by internal/core/testdata/metric_names.golden — renaming or
@@ -41,6 +41,12 @@ vet:
 # DESIGN.md "Static contracts"). Runs alongside go vet, not instead of it.
 lint:
 	$(GO) run ./cmd/xmovievet ./...
+
+# The benchmark harness is a module of its own (bench/go.mod), so the
+# root's fmt-check, vet, test and lint never reach it; bench/run.sh check
+# runs the same four gates over bench/ (it builds into .bench_build/).
+bench-check:
+	bash bench/run.sh check
 
 # Regenerate internal/gen from specs/ in place (the paper's step 2:
 # formal description -> code).
@@ -66,12 +72,13 @@ bench-smoke:
 
 # Hot-path guard: allocation-regression tests (pooled runtime cycle,
 # append-path codecs, MTP stream paths — including the FrameSource send
-# path and the zero-copy batched send path with its syscall-count bound —
-# and the disk store's cached read path) + append-vs-schema byte-identity
+# path, the paced emit path stepped by the timer wheel and the zero-copy
+# batched send path with its syscall-count bound — and the disk store's
+# cached read path) + append-vs-schema byte-identity
 # proofs and the cold/cached disk-read benchmark, then the mcambench
 # -json smoke emitting BENCH_*.json into bench-out/.
 bench-guard:
-	$(GO) test -run='TestSendSelectFireAllocs|TestPDUEncodeAllocs|TestPPDUEncodeAllocs|TestStreamPathAllocs|TestFrameSourceSendAllocs|TestLiveTailSendAllocs|TestBatchedSendAllocs|TestBatchedSendSyscalls|TestDiskCachedReadAllocs|TestAppendMatchesSchemaEncoder' \
+	$(GO) test -run='TestSendSelectFireAllocs|TestPDUEncodeAllocs|TestPPDUEncodeAllocs|TestStreamPathAllocs|TestFrameSourceSendAllocs|TestPacedEmitAllocs|TestLiveTailSendAllocs|TestBatchedSendAllocs|TestBatchedSendSyscalls|TestDiskCachedReadAllocs|TestAppendMatchesSchemaEncoder' \
 		./internal/estelle ./internal/mcam ./internal/presentation ./internal/mtp ./internal/moviedb
 	$(GO) test -run='^$$' -bench='BenchmarkDiskStream' -benchtime=10x -benchmem ./internal/moviedb
 	mkdir -p bench-out
@@ -177,6 +184,6 @@ load-scale:
 		-json -out mcamload_scale -outdir bench-out
 
 # Everything CI checks, locally.
-ci: fmt-check vet lint build generate-check test-short test bench-smoke bench-guard \
+ci: fmt-check vet lint bench-check build generate-check test-short test bench-smoke bench-guard \
 	bench-trajectory load-smoke load-stream load-disk load-broadcast load-chaos \
 	load-qos load-scale

@@ -109,7 +109,7 @@ var (
 		{"xmovie_delivery_vec_bytes_total", "Payload bytes handed to conns without a user-space copy.", obsv.Counter},
 	}
 	timewheelMetrics = []metricDef{
-		{"xmovie_timewheel_ticks_total", "Slots the shared pacing timer wheel has advanced.", obsv.Counter},
+		{"xmovie_timewheel_ticks_total", "Passes the shared pacing timer wheel's tick goroutine has made (one a tick while anything is armed).", obsv.Counter},
 		{"xmovie_timewheel_timers_armed_total", "Timers armed on the shared wheel.", obsv.Counter},
 		{"xmovie_timewheel_timers_fired_total", "Wheel timers that fired at their deadline.", obsv.Counter},
 		{"xmovie_timewheel_timers_canceled_total", "Wheel timers canceled before firing.", obsv.Counter},

@@ -100,11 +100,10 @@ const feedbackSize = 16
 // members of one burst and not resync twice.
 const syncRepeats = 3
 
-// maxCoalesce bounds how many due frames one Run iteration may coalesce
-// into a single batched write. It caps batch memory (headers live in one
-// fixed arena), bounds control latency (stop/pause/seek and feedback are
-// only observed between batches), and stays under typical sendmmsg sweet
-// spots.
+// maxCoalesce bounds how many frames the producer fetches at once and so
+// how many due frames one write may coalesce. It caps batch memory (headers
+// live in one fixed arena), bounds how much a seek discards, and stays under
+// typical sendmmsg sweet spots.
 const maxCoalesce = 32
 
 // appendFeedbackPayload writes the 16-octet feedback encoding.
@@ -170,8 +169,8 @@ type StreamConfig struct {
 	// frames are never booked as late and never trigger adaptive drops.
 	// Dropped frames reserve nothing.
 	Throttle Throttle
-	// Sleep substitutes the pacing wait (tests); nil uses a stoppable
-	// timer wait.
+	// Sleep substitutes the pacing wait (tests): the stream then paces on
+	// Run's own goroutine instead of the shared timer wheel.
 	Sleep func(time.Duration)
 }
 
@@ -201,20 +200,78 @@ type StreamStats struct {
 // Run is in flight, and it adapts its delivery to receiver feedback. It is
 // the transmission engine a Stream Provider Agent drives — one sender per
 // stream.
+//
+// The work is split in two. The PRODUCER is Run's goroutine: it owns the
+// source and does everything that may block — a chunk load, a wait at the
+// live edge, a bounded read — and is woken once per batch, not once per
+// frame. The EMITTER is the state under mu plus emit, the one copy of the
+// per-frame code (pacing, feedback, credit, throttle, marshal, send). It is
+// stepped by whoever has cause to: the shared wheel's tick goroutine when a
+// departure comes due, the producer when it submits a batch (a frame that
+// is already due — the first of a play, the first after a seek — leaves on
+// the spot, without a hop), and Resume. An unpaced stream never reaches the
+// wheel: its producer emits each batch as it submits it.
 type StreamSender struct {
-	conn PacketConn
-	cfg  StreamConfig
+	conn   PacketConn
+	tr     TryRecver
+	vc     VecConn
+	bc     BatchConn
+	cfg    StreamConfig
+	period time.Duration
 
 	stopOnce sync.Once
 	stopCh   chan struct{}
+	// wake rouses the producer: the emitter drained the held batch, or a
+	// control op changed what to fetch. One pending token covers any number
+	// of reasons.
+	wake chan struct{}
+	// task is the emitter's entry on the shared wheel, armed for the held
+	// batch's next departure.
+	task timewheel.Task
 
-	mu       sync.Mutex
-	paused   bool
-	resumeCh chan struct{} // non-nil while paused; closed by Resume/Stop
-	seekTo   int64         // pending reposition; -1 when none
-	fbNext   uint32        // latest receiver progress (next expected seq)
-	fbWindow uint32        // latest receiver credit grant (0 = none seen)
-	stats    StreamStats
+	mu sync.Mutex
+	// batch holds the frames fetched and not yet departed. They alias the
+	// source's buffers, which stay valid because the producer makes no
+	// source call while any are held; one backs a batch of a single Next.
+	batch [][]byte
+	one   [1][]byte
+	// Frame slot departs at epoch + slot*period. Time the schedule must not
+	// count — a pause, a cap wait, a wait at the live edge — moves the epoch
+	// forward; frozen is when the clock was stopped (zero while it runs).
+	epoch  time.Time
+	slot   int64
+	frozen time.Time
+	paused bool
+	// ahead is how far an injected sleeper's word has carried the stream's
+	// clock past the wall clock; zero for a stream paced by the wheel.
+	ahead time.Duration
+	// A throttle grant that imposed a wait: the first reserved frames of the
+	// batch are paid for and leave at capUntil.
+	capUntil time.Time
+	reserved int
+	seekTo   int64 // reposition the producer has yet to carry out; -1 when none
+	// A sequence discontinuity is announced on the next syncRepeats
+	// transmitted frames, not just one: FlagSync is what keeps a seek from
+	// being misread as loss, so it must survive a lossy path the same way
+	// the EOS marker does (only the first arrival resynchronizes; the rest
+	// are in-order no-ops at the receiver).
+	syncLeft int
+	// skipPending marks that the next transmitted frame follows a drop gap.
+	// inflight tracks the sequence numbers actually transmitted and not yet
+	// covered by receiver feedback — dropped frames consume sequence space
+	// but no credit.
+	skipPending bool
+	inflight    []uint32
+	fbNext      uint32 // latest receiver progress (next expected seq)
+	fbWindow    uint32 // latest receiver credit grant (0 = none seen)
+	err         error  // first marshal or send failure, at frame errSeq; ends the stream
+	errSeq      int64
+	stats       StreamStats // stats.Pos is the emitter's cursor: the next frame to depart
+
+	buf []byte // marshal buffer of the copy fallback and the EOS markers
+	// hdrs holds a batch's marshalled headers; pkts slices into it.
+	hdrs [maxCoalesce * HeaderSize]byte
+	pkts [maxCoalesce]PacketVec
 }
 
 // NewStreamSender prepares a sender; Run performs the transmission.
@@ -225,52 +282,89 @@ func NewStreamSender(conn PacketConn, cfg StreamConfig) *StreamSender {
 	case cfg.EOSRepeats < 0:
 		cfg.EOSRepeats = 0
 	}
-	return &StreamSender{conn: conn, cfg: cfg, stopCh: make(chan struct{}), seekTo: -1}
+	s := &StreamSender{conn: conn, cfg: cfg, stopCh: make(chan struct{}), wake: make(chan struct{}, 1), seekTo: -1}
+	s.tr, _ = conn.(TryRecver)
+	s.vc, _ = conn.(VecConn)
+	s.bc, _ = conn.(BatchConn)
+	if cfg.FrameRate > 0 {
+		s.period = time.Second / time.Duration(cfg.FrameRate)
+	}
+	if cfg.Window > 0 {
+		s.inflight = make([]uint32, 0, cfg.Window)
+	}
+	s.task.Fn = s.tick
+	return s
 }
 
-// Pause suspends transmission at frame granularity. Idempotent.
+// Pause suspends transmission at once: frames already fetched stay held and
+// the pacing clock stops. Idempotent.
 func (s *StreamSender) Pause() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if !s.paused {
 		s.paused = true
-		s.resumeCh = make(chan struct{})
+		if s.frozen.IsZero() {
+			s.frozen = s.now()
+		}
 	}
 }
 
 // Resume continues a paused transmission; paused time shifts the pacing
-// schedule rather than producing a burst of "late" frames. Idempotent.
+// schedule rather than producing a burst of "late" frames, and a held frame
+// that is due leaves before Resume returns. Idempotent.
 func (s *StreamSender) Resume() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.resumeLocked()
-}
-
-func (s *StreamSender) resumeLocked() {
-	if s.paused {
-		s.paused = false
-		close(s.resumeCh)
-		s.resumeCh = nil
+	if !s.paused {
+		return
 	}
+	s.paused = false
+	if s.cfg.Sleep == nil {
+		s.step()
+	}
+	s.rouse()
 }
 
-// Seek schedules a live reposition: the stream continues from frame pos
-// without restarting, and the first frame sent afterwards carries FlagSync
-// so the receiver resynchronizes instead of counting the jump as loss.
-// The position is validated against the source when the loop picks it up.
+// SeekTo repositions the live stream: the frames held for the old position
+// are discarded at once and the stream continues from frame pos without
+// restarting — the first frame sent afterwards carries FlagSync so the
+// receiver resynchronizes instead of counting the jump as loss. The
+// producer carries the seek out: it validates the position against the
+// source and restarts the pacing epoch (a producer parked at the live edge
+// does so when the frame it waits for arrives).
 func (s *StreamSender) SeekTo(pos int64) {
+	if pos < 0 {
+		return
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.seekTo = pos
+	s.batch = nil
+	// A cap wait for discarded frames is void; only a pause keeps the clock
+	// stopped.
+	s.capUntil, s.reserved = time.Time{}, 0
+	if !s.paused {
+		s.frozen = time.Time{}
+	}
+	s.syncLeft = syncRepeats
+	// The sync covers any drop gap, and the old in-flight frames belong to
+	// the abandoned segment. Sequence space is monotone within a segment,
+	// but a seek moves it arbitrarily.
+	s.skipPending = false
+	s.inflight = s.inflight[:0]
+	s.stats.Pos = pos
+	s.fbNext = uint32(pos)
+	s.rouse()
 }
 
-// Stop aborts the transmission; Run returns after terminating the stream
-// on the wire. Safe to call from any goroutine, idempotent.
+// Stop aborts the transmission: no held frame departs once Stop has
+// returned, and Run returns after terminating the stream on the wire. Safe
+// to call from any goroutine, idempotent.
 func (s *StreamSender) Stop() {
 	s.stopOnce.Do(func() { close(s.stopCh) })
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.resumeLocked() // a paused stream must observe the stop
+	s.batch = nil
 }
 
 // Position returns the source position reached so far.
@@ -287,21 +381,6 @@ func (s *StreamSender) Stats() StreamStats {
 	return s.stats
 }
 
-// wait sleeps for d or until Stop; it reports false when stopped. The wait
-// runs on the process-wide timer wheel, so ten thousand paced streams cost
-// one runtime timer between them instead of one each; wheel granularity
-// (~1ms) is absorbed by the measured-wait pacing credit — callers clock
-// the actual sleep, so coarseness shifts the schedule instead of
-// accumulating as drift. Throttle-imposed waits come through here too,
-// which is how the spa bandwidth caps share the wheel.
-func (s *StreamSender) wait(d time.Duration) bool {
-	if s.cfg.Sleep != nil {
-		s.cfg.Sleep(d)
-		return true
-	}
-	return timewheel.Default().Wait(d, s.stopCh)
-}
-
 // stopped reports whether Stop was called.
 func (s *StreamSender) stopped() bool {
 	select {
@@ -312,392 +391,401 @@ func (s *StreamSender) stopped() bool {
 	}
 }
 
+// now reads the stream's clock. Caller holds s.mu.
+func (s *StreamSender) now() time.Time { return time.Now().Add(s.ahead) }
+
+// rouse wakes the producer without blocking.
+func (s *StreamSender) rouse() {
+	select {
+	case s.wake <- struct{}{}:
+	default:
+	}
+}
+
 // drainFeedback consumes any pending receiver reports without blocking.
-func (s *StreamSender) drainFeedback(tr TryRecver) {
+// Caller holds s.mu.
+func (s *StreamSender) drainFeedback() {
 	var p Packet
 	for {
-		data, ok := tr.TryRecv()
+		data, ok := s.tr.TryRecv()
 		if !ok {
 			return
 		}
 		if p.Unmarshal(data) != nil || p.Flags&FlagFB == 0 || p.StreamID != s.cfg.StreamID {
 			continue
 		}
-		fb, ok := ParseFeedback(&p)
-		if !ok {
-			continue
+		// Accept the newest report unconditionally and let the credit check
+		// clamp negative spans.
+		if fb, ok := ParseFeedback(&p); ok {
+			s.fbNext, s.fbWindow = fb.NextSeq, fb.Window
+			s.stats.Feedback++
 		}
-		s.mu.Lock()
-		// Sequence space is monotone within a stream segment, but a seek
-		// moves it arbitrarily; accept the newest report unconditionally
-		// and let the credit check clamp negative spans.
-		s.fbNext = fb.NextSeq
-		s.fbWindow = fb.Window
-		s.stats.Feedback++
-		s.mu.Unlock()
 	}
 }
 
 // Run transmits src until EOF, Stop, or a conn error, honouring
 // pause/resume/seek and — when cfg.Window > 0 — receiver credit. It blocks
-// for the stream's duration; control methods are called from other
-// goroutines. The source is advanced in place; Seq equals source frame
-// index throughout, so StartSeq-style resumption is just opening the
-// source at the right position.
+// for the stream's duration as the stream's producer; control methods are
+// called from other goroutines. The source is advanced in place; Seq equals
+// source frame index throughout, so StartSeq-style resumption is just
+// opening the source at the right position.
 func (s *StreamSender) Run(src FrameSource) (StreamStats, error) {
-	var period time.Duration
-	if s.cfg.FrameRate > 0 {
-		period = time.Second / time.Duration(s.cfg.FrameRate)
-	}
-	tr, _ := s.conn.(TryRecver)
 	ew, _ := src.(EdgeWaiter)
-	vc, _ := s.conn.(VecConn)
-	bc, _ := s.conn.(BatchConn)
 	bs, _ := src.(BatchSource)
-
-	bufp := sendBufPool.Get().(*[]byte)
-	buf := *bufp
-	defer func() { putSendBuf(bufp, buf) }()
-	// hdrArena holds the batch's marshalled headers; its capacity is fixed
-	// so PacketVec.Hdr slices into it stay valid as the batch grows.
-	hdrArena := make([]byte, 0, maxCoalesce*HeaderSize)
-	pkts := make([]PacketVec, 0, maxCoalesce)
-
-	start := time.Now()
-	var pausedTotal time.Duration
-	var slot int64 // pacing slot index since the current epoch
-	// A sequence discontinuity is announced on the next syncRepeats
-	// transmitted frames, not just one: FlagSync is what keeps a seek from
-	// being misread as loss, so it must survive a lossy path the same way
-	// the EOS marker does (only the first arrival resynchronizes; the
-	// rest are in-order no-ops at the receiver).
-	syncLeft := 0
-	if src.Pos() != 0 {
-		syncLeft = syncRepeats
-	}
-	// inflight tracks the sequence numbers actually transmitted and not
-	// yet covered by receiver feedback — dropped frames consume sequence
-	// space but no credit. skipPending marks that the next transmitted
-	// frame follows a drop gap.
-	var inflight []uint32
-	if s.cfg.Window > 0 {
-		inflight = make([]uint32, 0, s.cfg.Window)
-	}
-	skipPending := false
+	began := time.Now()
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.epoch = began
 	s.stats.Pos = src.Pos()
-	s.fbNext = uint32(src.Pos())
-	s.mu.Unlock()
-
-	finish := func(err error) (StreamStats, error) {
-		// Terminate the stream on the wire even when aborted, so the
-		// receiver does not wait for frames that will never come. A
-		// not-yet-announced discontinuity (a seek straight to EOF sends
-		// no further data frame) rides on the EOS markers as FlagSync, so
-		// the receiver ends cleanly instead of booking the jump as loss.
-		pos := src.Pos()
-		flags := FlagEOS
-		if syncLeft > 0 {
-			flags |= FlagSync
-		}
-		for i := 0; i < s.cfg.EOSRepeats; i++ {
-			p := Packet{StreamID: s.cfg.StreamID, Seq: uint32(pos), Flags: flags}
-			var merr error
-			buf, merr = p.Marshal(buf[:0])
-			if merr == nil {
-				if serr := s.conn.Send(buf); serr != nil && err == nil {
-					err = fmt.Errorf("mtp: send EOS: %w", serr)
-					break
-				}
-			}
-		}
-		s.mu.Lock()
-		s.stats.Pos = pos
-		s.stats.Elapsed = time.Since(start)
-		s.stats.Done = err == nil && !s.stopped()
-		st := s.stats
-		s.mu.Unlock()
-		return st, err
+	s.fbNext = uint32(s.stats.Pos)
+	if s.stats.Pos != 0 {
+		s.syncLeft = syncRepeats
 	}
-
 	for {
-		if s.stopped() {
-			return finish(nil)
-		}
-		// Pause: block until resumed or stopped; paused time shifts the
-		// schedule.
-		s.mu.Lock()
-		resumeCh := s.resumeCh
-		s.mu.Unlock()
-		if resumeCh != nil {
-			pauseStart := time.Now()
+		switch {
+		case s.stopped():
+			return s.finish(began, nil)
+		case s.err != nil:
+			return s.finish(began, fmt.Errorf("mtp: send seq %d: %w", s.errSeq, s.err))
+		case s.seekTo >= 0:
+			pos := s.seekTo
+			s.seekTo = -1
+			s.mu.Unlock()
+			err := src.SeekTo(pos)
+			s.mu.Lock()
+			if err != nil {
+				return s.finish(began, fmt.Errorf("mtp: seek: %w", err))
+			}
+			// The schedule starts over at the new position; a pause in force
+			// counts from here.
+			s.epoch, s.slot = s.now(), 0
+			if !s.frozen.IsZero() {
+				s.frozen = s.epoch
+			}
+		case len(s.batch) > 0 && !s.paused && s.cfg.Sleep != nil:
+			s.step()
+		case len(s.batch) > 0 || s.paused:
+			// Nothing to fetch: the emitter still holds frames, or the clock
+			// stands still and a fetch would only be held (and a wait at the
+			// live edge credited on top of the pause).
+			s.mu.Unlock()
 			select {
-			case <-resumeCh:
-				pausedTotal += time.Since(pauseStart)
+			case <-s.wake:
 			case <-s.stopCh:
-				return finish(nil)
 			}
-			continue
-		}
-		// Seek: reposition the source and restart the pacing epoch. The
-		// next frame out carries FlagSync.
-		s.mu.Lock()
-		seekTo := s.seekTo
-		s.seekTo = -1
-		s.mu.Unlock()
-		if seekTo >= 0 {
-			if err := src.SeekTo(seekTo); err != nil {
-				return finish(fmt.Errorf("mtp: seek: %w", err))
+			s.mu.Lock()
+		default:
+			s.mu.Unlock()
+			var batch [][]byte
+			if bs != nil {
+				batch = bs.NextBatch(maxCoalesce)
 			}
-			start = time.Now()
-			slot = 0
-			pausedTotal = 0
-			syncLeft = syncRepeats
-			// The sync covers any drop gap, and the old in-flight frames
-			// belong to the abandoned segment.
-			skipPending = false
-			inflight = inflight[:0]
-			s.mu.Lock()
-			s.stats.Pos = seekTo
-			s.fbNext = uint32(seekTo)
-			s.mu.Unlock()
-		}
-
-		pos := src.Pos()
-		frame, err := src.Next()
-		if ew != nil {
-			// Time blocked at the live edge shifts the pacing schedule the
-			// way a pause does: the frame did not exist yet, so the stream
-			// is not late.
-			pausedTotal += ew.TakeWaited()
-		}
-		if err == io.EOF {
-			return finish(nil)
-		}
-		if errors.Is(err, ErrFrameUnavailable) {
-			// Graceful degradation: the source consumed the frame's
-			// position but could not produce its bytes in time. Book it
-			// like an adaptive drop — sequence space is consumed, the next
-			// transmitted frame carries FlagSkip — and keep the stream
-			// alive.
-			slot++
-			skipPending = true
-			s.mu.Lock()
-			s.stats.Dropped++
-			s.stats.Pos = src.Pos()
-			s.mu.Unlock()
-			continue
-		}
-		if err != nil {
-			return finish(fmt.Errorf("mtp: frame source: %w", err))
-		}
-
-		// Pacing: frame slot departs at epoch + slot*period (+ pause).
-		overdue := time.Duration(0)
-		if period > 0 {
-			due := start.Add(time.Duration(slot)*period + pausedTotal)
-			now := time.Now()
-			if wait := due.Sub(now); wait > 0 {
-				if !s.wait(wait) {
-					return finish(nil)
-				}
-			} else {
-				overdue = now.Sub(due)
-			}
-		}
-		slot++
-
-		if tr != nil {
-			s.drainFeedback(tr)
-		}
-
-		// Adaptive delivery: with a window configured, at most Window
-		// transmitted frames may be unacknowledged by feedback. A frame
-		// whose slot arrives with the window full — or already a full
-		// period overdue — is dropped: its sequence number is consumed
-		// (the next transmitted frame carries FlagSkip so the receiver
-		// jumps the gap and accounts it as lost) but no credit is, so
-		// congestion throttles transmission without wedging it.
-		creditLeft := -1 // -1: no window configured (unlimited)
-		if s.cfg.Window > 0 {
-			s.mu.Lock()
-			fbNext, fbWindow := s.fbNext, s.fbWindow
-			s.mu.Unlock()
-			k := 0
-			for _, q := range inflight {
-				if int32(q-fbNext) >= 0 {
-					inflight[k] = q
-					k++
+			var err error
+			if len(batch) == 0 {
+				if s.one[0], err = src.Next(); err == nil {
+					batch = s.one[:]
 				}
 			}
-			inflight = inflight[:k]
-			// The effective window is the configured one capped by the
-			// receiver's credit grant, once it has reported one.
-			window := s.cfg.Window
-			if fbWindow > 0 && int(fbWindow) < window {
-				window = int(fbWindow)
+			var waited time.Duration
+			if ew != nil {
+				waited = ew.TakeWaited()
 			}
-			if len(inflight) >= window || (period > 0 && overdue > period) {
-				skipPending = true
-				s.mu.Lock()
-				s.stats.Dropped++
-				s.stats.Pos = pos + 1
-				s.mu.Unlock()
+			s.mu.Lock()
+			if s.seekTo >= 0 || s.stopped() {
+				// A seek or a stop overtook the fetch; what it returned —
+				// frames, the end of the movie, a canceled wait — is void.
 				continue
 			}
-			creditLeft = window - len(inflight) - 1
-		}
-
-		// Coalesce: when the conn takes vectors and the source can serve
-		// further already-due frames straight from resident memory, send
-		// them as one batch — unpaced streams batch maximally; paced
-		// streams only coalesce slots whose departure time has passed, so
-		// an on-schedule stream still sends frame by frame. Credit caps the
-		// batch; control (stop/pause/seek/feedback) is re-checked each loop
-		// iteration, so a batch bounds control latency by maxCoalesce
-		// frames.
-		extraWant := 0
-		if bs != nil && (vc != nil || bc != nil) {
+			if waited > 0 {
+				// Time blocked at the live edge shifts the pacing schedule
+				// the way a pause does: the frame did not exist yet, so the
+				// stream is not late. A pause that began during the wait
+				// counts from here, not twice.
+				s.epoch = s.epoch.Add(waited)
+				if !s.frozen.IsZero() {
+					s.frozen = s.now()
+				}
+			}
 			switch {
-			case period == 0:
-				extraWant = maxCoalesce - 1
-			case overdue > 0:
-				extraWant = int(overdue / period)
-				if extraWant > maxCoalesce-1 {
-					extraWant = maxCoalesce - 1
-				}
-			}
-			if creditLeft >= 0 && extraWant > creditLeft {
-				extraWant = creditLeft
-			}
-		}
-		var extras [][]byte
-		if extraWant > 0 {
-			extras = bs.NextBatch(extraWant)
-		}
-		nb := 1 + len(extras)
-		total := int64(len(frame))
-		for _, f := range extras {
-			total += int64(len(f))
-		}
-
-		// Bandwidth cap: reserve the batch's bytes and absorb the imposed
-		// wait into the pacing epoch (like a pause), so a capped stream
-		// shifts its schedule instead of accumulating lateness. The batch
-		// payloads stay valid across the wait — nothing touches the source
-		// until the next iteration.
-		if s.cfg.Throttle != nil && total > 0 {
-			if d := s.cfg.Throttle.Reserve(int(total)); d > 0 {
-				// Credit the measured wait, not the requested one: timer
-				// overshoot would otherwise accumulate as phantom lateness.
-				capStart := time.Now()
-				if !s.wait(d) {
-					return finish(nil)
-				}
-				pausedTotal += time.Since(capStart)
+			case err == io.EOF:
+				return s.finish(began, nil)
+			case errors.Is(err, ErrFrameUnavailable):
+				// Graceful degradation: the source consumed the frame's
+				// position but could not produce its bytes in time. Book it
+				// like an adaptive drop and keep the stream alive.
+				s.drop()
+			case err != nil:
+				return s.finish(began, fmt.Errorf("mtp: frame source: %w", err))
+			default:
+				s.batch = batch
+				s.step()
 			}
 		}
-		if period > 0 {
-			// Each batch member is late if it departs more than one period
-			// past its own slot; member j's slot is j periods after frame
-			// 0's.
-			lateN := 0
-			for j := 0; j < nb; j++ {
-				if overdue-time.Duration(j)*period > period {
-					lateN++
-				}
-			}
-			if lateN > 0 {
-				s.mu.Lock()
-				s.stats.Late += lateN
-				s.mu.Unlock()
-			}
-		}
-
-		// Build the batch: one header per frame in the arena, payloads
-		// untouched (they alias the source's resident chunk until the next
-		// source call — the conn must consume them before returning).
-		hdrArena = hdrArena[:0]
-		pkts = pkts[:0]
-		for j := 0; j < nb; j++ {
-			f := frame
-			if j > 0 {
-				f = extras[j-1]
-			}
-			fpos := pos + int64(j)
-			var tsMicro uint64
-			if s.cfg.FrameRate > 0 {
-				tsMicro = uint64(fpos) * uint64(time.Second/time.Microsecond) / uint64(s.cfg.FrameRate)
-			}
-			p := Packet{
-				StreamID: s.cfg.StreamID,
-				Seq:      uint32(fpos),
-				TSMicro:  tsMicro,
-				Payload:  f,
-			}
-			if syncLeft > 0 {
-				p.Flags |= FlagSync
-				syncLeft--
-			}
-			if j == 0 && skipPending {
-				p.Flags |= FlagSkip
-				skipPending = false
-			}
-			at := len(hdrArena)
-			hdrArena, err = p.MarshalHeader(hdrArena)
-			if err != nil {
-				return finish(err)
-			}
-			pkts = append(pkts, PacketVec{Hdr: hdrArena[at:], Payload: f})
-		}
-
-		// Deliver: one sendmmsg-style call for a coalesced batch, a
-		// vectored send per packet otherwise, and the marshal-copy fallback
-		// for conns without vector support.
-		switch {
-		case bc != nil && len(pkts) > 1:
-			if err := bc.SendBatch(pkts); err != nil {
-				return finish(fmt.Errorf("mtp: send seq %d..%d: %w", pos, pos+int64(nb)-1, err))
-			}
-			batchSends.Add(1)
-			batchFrames.Add(int64(nb))
-			vecSends.Add(int64(nb))
-			vecBytes.Add(total)
-		case vc != nil:
-			for j, pk := range pkts {
-				if err := vc.SendVec(pk.Hdr, pk.Payload); err != nil {
-					return finish(fmt.Errorf("mtp: send seq %d: %w", pos+int64(j), err))
-				}
-			}
-			if nb > 1 {
-				// Still one coalesced group — the source-side batching
-				// happened — delivered as nb vectored calls because the
-				// conn lacks a true batch entry point.
-				batchSends.Add(1)
-				batchFrames.Add(int64(nb))
-			}
-			vecSends.Add(int64(nb))
-			vecBytes.Add(total)
-		default:
-			for j, pk := range pkts {
-				var serr error
-				buf, serr = sendVecFallback(s.conn, buf, pk.Hdr, pk.Payload)
-				if serr != nil {
-					return finish(fmt.Errorf("mtp: send seq %d: %w", pos+int64(j), serr))
-				}
-			}
-			copySends.Add(int64(nb))
-		}
-		if s.cfg.Window > 0 {
-			for j := 0; j < nb; j++ {
-				inflight = append(inflight, uint32(pos+int64(j)))
-			}
-		}
-		slot += int64(nb - 1) // frame 0's slot was consumed above
-		s.mu.Lock()
-		s.stats.Sent += nb
-		s.stats.Bytes += total
-		s.stats.Pos = pos + int64(nb)
-		s.mu.Unlock()
 	}
+}
+
+// finish terminates the stream on the wire even when aborted, so the
+// receiver does not wait for frames that will never come. A not-yet-
+// announced discontinuity (a seek straight to EOF sends no further data
+// frame) rides on the EOS markers as FlagSync, so the receiver ends cleanly
+// instead of booking the jump as loss. Caller holds s.mu.
+func (s *StreamSender) finish(began time.Time, err error) (StreamStats, error) {
+	// Whatever is still held is abandoned; a tick already dispatched finds
+	// nothing to send, and the wheel keeps no reference to the stream.
+	s.batch, s.capUntil = nil, time.Time{}
+	timewheel.Default().Cancel(&s.task)
+	flags := FlagEOS
+	if s.syncLeft > 0 {
+		flags |= FlagSync
+	}
+	for i := 0; i < s.cfg.EOSRepeats; i++ {
+		p := Packet{StreamID: s.cfg.StreamID, Seq: uint32(s.stats.Pos), Flags: flags}
+		var merr error
+		s.buf, merr = p.Marshal(s.buf[:0])
+		if merr == nil {
+			if serr := s.conn.Send(s.buf); serr != nil && err == nil {
+				err = fmt.Errorf("mtp: send EOS: %w", serr)
+				break
+			}
+		}
+	}
+	s.stats.Elapsed = time.Since(began)
+	s.stats.Done = err == nil && !s.stopped()
+	return s.stats, err
+}
+
+// tick is the emitter's wheel callback.
+func (s *StreamSender) tick() {
+	s.mu.Lock()
+	s.step()
+	s.mu.Unlock()
+}
+
+// step runs the emitter and sees to its next run: the wheel calls back at
+// the next departure. An injected sleeper paces on the producer's own
+// goroutine instead and is taken at its word: whatever the wall clock says,
+// the stream's clock reads next when it returns. Caller holds s.mu.
+func (s *StreamSender) step() {
+	now := s.now()
+	next := s.emit(now)
+	for ; !next.IsZero() && s.cfg.Sleep != nil; next = s.emit(now) {
+		s.mu.Unlock()
+		s.cfg.Sleep(next.Sub(now))
+		s.mu.Lock()
+		s.ahead += next.Sub(s.now())
+		now = next
+	}
+	if !next.IsZero() {
+		timewheel.Default().At(next, &s.task)
+	}
+}
+
+// emit sends every held frame whose departure has come and returns when to
+// run again (zero: not before the producer or a control op says so). This
+// is the per-frame path of every stream, paced or not. Caller holds s.mu.
+//
+//xmovie:hotpath
+func (s *StreamSender) emit(now time.Time) time.Time {
+	if s.paused || s.err != nil {
+		return time.Time{}
+	}
+	if now.Before(s.capUntil) {
+		return s.capUntil
+	}
+	if !s.frozen.IsZero() {
+		// Credit the measured standstill, not the requested one: timer
+		// overshoot would otherwise accumulate as phantom lateness.
+		s.epoch = s.epoch.Add(now.Sub(s.frozen))
+		s.frozen = time.Time{}
+	}
+	for len(s.batch) > 0 {
+		var overdue time.Duration
+		if s.period > 0 {
+			due := s.epoch.Add(time.Duration(s.slot) * s.period)
+			if now.Before(due) {
+				return due
+			}
+			overdue = now.Sub(due)
+		}
+		if s.tr != nil {
+			s.drainFeedback()
+		}
+		n := s.reserved
+		s.reserved = 0
+		if n == 0 {
+			// Coalesce: every held frame whose own slot has passed leaves
+			// in one write — an unpaced stream batches maximally, an
+			// on-schedule paced one sends frame by frame.
+			n = len(s.batch)
+			if s.period > 0 && int64(overdue/s.period) < int64(n-1) {
+				n = 1 + int(overdue/s.period)
+			}
+			// Adaptive delivery: with a window configured, at most Window
+			// transmitted frames may be unacknowledged by feedback. A frame
+			// whose slot arrives with the window full — or already a full
+			// period overdue — is dropped: its sequence number is consumed
+			// (the next transmitted frame carries FlagSkip so the receiver
+			// jumps the gap and accounts it as lost) but no credit is, so
+			// congestion throttles transmission without wedging it.
+			if s.cfg.Window > 0 {
+				credit := s.credit()
+				if credit <= 0 || (s.period > 0 && overdue > s.period) {
+					s.drop()
+					if s.batch = s.batch[1:]; len(s.batch) == 0 {
+						s.rouse()
+					}
+					continue
+				}
+				if n > credit {
+					n = credit
+				}
+			}
+			// Bandwidth cap: reserve the frames' bytes; an imposed wait
+			// stops the clock (like a pause) until the wheel calls back, so
+			// a capped stream shifts its schedule instead of accumulating
+			// lateness.
+			if s.cfg.Throttle != nil {
+				total := 0
+				for _, f := range s.batch[:n] {
+					total += len(f)
+				}
+				if total > 0 {
+					if d := s.cfg.Throttle.Reserve(total); d > 0 {
+						s.reserved, s.frozen, s.capUntil = n, now, now.Add(d)
+						return s.capUntil
+					}
+				}
+			}
+		}
+		if !s.send(n, overdue) {
+			break
+		}
+	}
+	return time.Time{}
+}
+
+// drop books the frame at the cursor as not sent: its slot and sequence
+// number are consumed, and the next transmitted frame carries FlagSkip so the
+// receiver jumps the gap and accounts it as lost.
+func (s *StreamSender) drop() {
+	s.slot++
+	s.skipPending = true
+	s.stats.Dropped++
+	s.stats.Pos++
+}
+
+// credit prunes inflight against the newest feedback and returns how many
+// more frames may be transmitted. The effective window is the configured
+// one capped by the receiver's credit grant, once it has reported one.
+func (s *StreamSender) credit() int {
+	k := 0
+	for _, q := range s.inflight {
+		if int32(q-s.fbNext) >= 0 {
+			s.inflight[k] = q
+			k++
+		}
+	}
+	s.inflight = s.inflight[:k]
+	window := s.cfg.Window
+	if s.fbWindow > 0 && int(s.fbWindow) < window {
+		window = int(s.fbWindow)
+	}
+	return window - k
+}
+
+// send transmits the first n held frames, the first of them overdue by
+// overdue, and advances the cursor past them; false means the stream has
+// failed. One header per frame goes into the arena, payloads stay untouched
+// (they alias the source's resident chunk — the conn must consume them
+// before returning). Caller holds s.mu.
+//
+//xmovie:hotpath
+func (s *StreamSender) send(n int, overdue time.Duration) bool {
+	pos := s.stats.Pos
+	hdrs, pkts := s.hdrs[:0], s.pkts[:0]
+	var total int64
+	for j, f := range s.batch[:n] {
+		p := Packet{StreamID: s.cfg.StreamID, Seq: uint32(pos + int64(j)), Payload: f}
+		if s.cfg.FrameRate > 0 {
+			p.TSMicro = uint64(pos+int64(j)) * uint64(time.Second/time.Microsecond) / uint64(s.cfg.FrameRate)
+		}
+		if s.syncLeft > 0 {
+			p.Flags |= FlagSync
+			s.syncLeft--
+		}
+		if j == 0 && s.skipPending {
+			p.Flags |= FlagSkip
+			s.skipPending = false
+		}
+		// A frame is late if it departs more than one period past its own
+		// slot; member j's slot is j periods after the first's.
+		if s.period > 0 && overdue-time.Duration(j)*s.period > s.period {
+			s.stats.Late++
+		}
+		at := len(hdrs)
+		var err error
+		if hdrs, err = p.MarshalHeader(hdrs); err != nil {
+			return s.fail(pos+int64(j), err)
+		}
+		pkts = append(pkts, PacketVec{Hdr: hdrs[at:], Payload: f})
+		total += int64(len(f))
+	}
+
+	// Deliver: one sendmmsg-style call for a coalesced batch, a vectored
+	// send per packet otherwise, and the marshal-copy fallback for conns
+	// without vector support.
+	switch {
+	case s.bc != nil && n > 1:
+		if err := s.bc.SendBatch(pkts); err != nil {
+			return s.fail(pos, err)
+		}
+		batchSends.Add(1)
+		batchFrames.Add(int64(n))
+		vecSends.Add(int64(n))
+		vecBytes.Add(total)
+	case s.vc != nil:
+		for j, pk := range pkts {
+			if err := s.vc.SendVec(pk.Hdr, pk.Payload); err != nil {
+				return s.fail(pos+int64(j), err)
+			}
+		}
+		if n > 1 {
+			// Still one coalesced group, delivered as n vectored calls
+			// because the conn lacks a true batch entry point.
+			batchSends.Add(1)
+			batchFrames.Add(int64(n))
+		}
+		vecSends.Add(int64(n))
+		vecBytes.Add(total)
+	default:
+		for j, pk := range pkts {
+			var err error
+			if s.buf, err = sendVecFallback(s.conn, s.buf, pk.Hdr, pk.Payload); err != nil {
+				return s.fail(pos+int64(j), err)
+			}
+		}
+		copySends.Add(int64(n))
+	}
+	if s.cfg.Window > 0 {
+		for j := 0; j < n; j++ {
+			s.inflight = append(s.inflight, uint32(pos+int64(j)))
+		}
+	}
+	s.slot += int64(n)
+	s.stats.Sent += n
+	s.stats.Bytes += total
+	s.stats.Pos += int64(n)
+	if s.batch = s.batch[n:]; len(s.batch) == 0 {
+		s.rouse()
+	}
+	return true
+}
+
+// fail records the stream's first marshal or send failure for the producer
+// to report, and returns false.
+func (s *StreamSender) fail(seq int64, err error) bool {
+	s.err, s.errSeq = err, seq
+	s.batch = nil
+	s.rouse()
+	return false
 }

@@ -455,47 +455,25 @@ func TestFeedbackOverUDP(t *testing.T) {
 // frame follows the jump, so the sync rides on the EOS markers and the
 // receiver must not book the skipped tail as loss.
 func TestSeekToEOFEndsCleanly(t *testing.T) {
-	movie := moviedb.SynthesizeLazy(moviedb.SynthConfig{Name: "jump-end", Frames: 5000, FrameSize: 64})
-	a, b, link := netsim.NewLink(netsim.Config{}, netsim.Config{})
-	defer link.Close()
-	var mu sync.Mutex
-	var got []Frame
-	done := runReceiver(t, b, ReceiverConfig{}, &got, &mu)
-
-	s := NewStreamSender(a, StreamConfig{StreamID: 8, FrameRate: 500})
-	runDone := make(chan StreamStats, 1)
-	go func() {
-		st, _ := s.Run(movie.Open())
-		runDone <- st
-	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		mu.Lock()
-		n := len(got)
-		mu.Unlock()
-		if n >= 5 {
-			break
+	eachConn(t, func(t *testing.T, send PacketConn, recv *tap) {
+		s, runDone, recvDone := controlled(t, send, recv, 500)
+		recv.awaitData(t, 5)
+		s.SeekTo(4000)
+		st := await(t, "sender", runDone)
+		rstats := await(t, "receiver", recvDone)
+		if !st.Done || st.Pos != 4000 {
+			t.Fatalf("send stats after seek to EOF: %+v", st)
 		}
-		if time.Now().After(deadline) {
-			t.Fatal("no frames before seek")
+		if rstats.Lost != 0 {
+			t.Fatalf("seek to EOF booked as loss: %+v", rstats)
 		}
-		time.Sleep(time.Millisecond)
-	}
-	s.SeekTo(5000)
-	st := <-runDone
-	rstats := <-done
-	if !st.Done || st.Pos != 5000 {
-		t.Fatalf("send stats after seek to EOF: %+v", st)
-	}
-	if rstats.Lost != 0 {
-		t.Fatalf("seek to EOF booked as loss: %+v", rstats)
-	}
-	if rstats.Resyncs == 0 {
-		t.Error("no resync recorded for the jump to EOS")
-	}
-	if rstats.Delivered >= 5000 || rstats.Delivered < 5 {
-		t.Errorf("delivered %d frames", rstats.Delivered)
-	}
+		if rstats.Resyncs == 0 {
+			t.Error("no resync recorded for the jump to EOS")
+		}
+		if rstats.Delivered >= 4000 || rstats.Delivered < 5 {
+			t.Errorf("delivered %d frames", rstats.Delivered)
+		}
+	})
 }
 
 // countingThrottle is a deterministic Throttle: every reservation is

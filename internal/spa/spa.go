@@ -6,13 +6,14 @@
 // start, pause, resume, live seek, stop, per-stream statistics and a
 // graceful drain. Each stream pulls frames from a lazy FrameSource (one
 // chunk window resident, never the whole movie) and pushes them through an
-// mtp.StreamSender, which paces transmission and adapts to receiver
-// feedback by dropping frames under congestion — XMovie's rate-adaptive
-// delivery.
+// mtp.StreamSender, which paces transmission from the shared timer wheel
+// and adapts to receiver feedback by dropping frames under congestion —
+// XMovie's rate-adaptive delivery. The stream's goroutine is the sender's
+// producer: it blocks in the source, never in a pacing wait.
 //
-// spa paces live-edge and throttle waits and must wait on
-// internal/timewheel (or an injected sleeper), never on runtime timers —
-// see the timerdiscipline analyzer.
+// spa's own waits (the bounded-read deadline) must be on
+// internal/timewheel, never on runtime timers — see the timerdiscipline
+// analyzer.
 //
 //xmovie:pacing-package
 package spa
@@ -303,7 +304,8 @@ func (a *Agent) lookup(id int64) (*stream, error) {
 	return st, nil
 }
 
-// Pause suspends a running stream at frame granularity.
+// Pause suspends a running stream at once: no frame departs after it
+// returns.
 func (a *Agent) Pause(id int64) error {
 	st, err := a.lookup(id)
 	if err != nil {
@@ -331,8 +333,9 @@ func (a *Agent) Resume(id int64) error {
 }
 
 // SeekStream repositions a live stream to frame pos without restarting
-// it: the stream continues from there and the receiver resynchronizes via
-// the MTP sync flag. pos is validated against the movie length — the
+// it: frames the sender holds for the old position are discarded at once,
+// the stream continues from pos and the receiver resynchronizes via the
+// MTP sync flag. pos is validated against the movie length — the
 // length at the moment of the call, for a movie that is still recording;
 // seeking to the length — or past the end of a Count-bounded play window —
 // ends the stream cleanly (or waits at the live edge on a live movie).

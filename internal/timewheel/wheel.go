@@ -1,27 +1,30 @@
 // Package timewheel implements a hashed timer wheel shared by every paced
 // stream of the process.
 //
-// The data plane arms one timer per frame slot: at 25 fps a stream waits
-// ~25 times a second, and a server fanning out to tens of thousands of
-// streams would otherwise create (and garbage-collect) that many
-// time.NewTimer heap entries per second, each with its own runtime timer.
-// The wheel replaces them with pooled waiters hashed into a fixed ring of
-// slots advanced by a single goroutine, so arming a wait in the steady
-// state allocates nothing and the runtime sees one timer regardless of how
-// many streams pace against it.
+// The data plane schedules one departure per frame slot: at 25 fps a
+// stream arms ~25 times a second, and a server fanning out to tens of
+// thousands of streams would otherwise create (and garbage-collect) that
+// many time.NewTimer heap entries per second, each with its own runtime
+// timer. The wheel replaces them with caller-owned Tasks hashed into a
+// fixed ring of slots advanced by a single goroutine, which also runs
+// the due callbacks — a paced stream's frames are sent from the tick, not
+// from a goroutine the tick would have to wake. Arming allocates nothing
+// and the runtime sees one timer regardless of how many streams pace
+// against it.
 //
 // Precision is one tick (default 1ms — deliberately coarser than a runtime
-// timer). That composes with the sender's measured-wait pacing semantics
-// from the stream layer: pacing, throttle and live-edge waits all credit
-// the time actually slept, so wheel granularity shifts a schedule by at
-// most a tick instead of accumulating as drift or phantom lateness.
+// timer): the tick goroutine wakes once a tick and runs every task whose
+// deadline has passed by then, so a task runs within a tick after its
+// deadline and never before it. That composes with the sender's measured-wait pacing
+// semantics from the stream layer: throttle and live-edge waits credit the
+// time actually spent, so wheel granularity shifts a schedule by at most a
+// tick instead of accumulating as drift or phantom lateness.
 //
 //xmovie:pacing-package
 package timewheel
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -30,61 +33,69 @@ const (
 	// DefaultTick is the wheel's firing granularity.
 	DefaultTick = time.Millisecond
 	// DefaultSlots is the ring size; waits longer than Tick×Slots survive
-	// via per-waiter absolute deadlines (a hashed wheel, not a hierarchical
+	// via per-task absolute deadlines (a hashed wheel, not a hierarchical
 	// one — long waits are rare on the pacing path).
 	DefaultSlots = 512
 )
 
 // Stats counts a wheel's activity since creation.
 type Stats struct {
-	// Ticks is how many times the wheel advanced one slot.
+	// Ticks is how many passes the tick goroutine made: one per tick while
+	// anything is armed, none while the wheel is parked.
 	Ticks int64
-	// Armed counts Wait/NewTimer arms; Fired and Canceled partition their
-	// completions (timers still pending account for the difference).
+	// Armed counts At/Wait/NewTimer arms; Fired and Canceled partition
+	// their completions (tasks still pending account for the difference).
 	Armed    int64
 	Fired    int64
 	Canceled int64
 }
 
-// waiter states: exactly one of the wheel (fire) and the caller (cancel)
-// wins the CAS and owns the waiter's afterlife.
-const (
-	waiterArmed int32 = iota
-	waiterFired
-	waiterCanceled
-)
+// Task is one schedulable callback. The caller owns it — typically embedded
+// in the per-stream state it steps — so arming allocates nothing and
+// Cancel leaves the wheel holding no reference to it. Fn runs on the
+// wheel's tick goroutine with no wheel lock held: it may re-arm its own or
+// any other task, must not block, and must tolerate running once more after
+// a Cancel that reported false.
+type Task struct {
+	Fn func()
 
-// waiter is one armed timer. The channel is buffered (capacity 1) and
-// signalled by send, never closed, so a pooled waiter is reusable once
-// drained.
-type waiter struct {
-	ch    chan struct{}
-	state atomic.Int32
-	// deadline is the absolute tick index the waiter fires at; a deadline
-	// beyond one ring revolution keeps the waiter in its slot until the
-	// revolution that reaches it.
-	deadline int64
-	next     *waiter
+	// Guarded by the wheel's mu. deadline is when the task fires, measured
+	// from the wheel's epoch; one beyond a ring revolution keeps the task
+	// in its slot until the revolution that reaches it. prev is the link
+	// pointing at the task, nil while it is not armed.
+	deadline time.Duration
+	next     *Task
+	prev     **Task
 }
 
-var waiterPool = sync.Pool{New: func() any { return &waiter{ch: make(chan struct{}, 1)} }}
+// waiter is a Task that signals a channel: the blocking form of a wait.
+// The channel is buffered (capacity 1) and signalled by send, never closed,
+// so a pooled waiter is reusable once drained.
+type waiter struct {
+	Task
+	ch chan struct{}
+}
 
-// Wheel is a hashed timer wheel: slots[i] holds the waiters whose deadline
+var waiterPool = sync.Pool{New: func() any {
+	t := &waiter{ch: make(chan struct{}, 1)}
+	t.Fn = func() { t.ch <- struct{}{} }
+	return t
+}}
+
+// Wheel is a hashed timer wheel: slots[i] holds the tasks whose deadline
 // tick hashes to i. One goroutine advances the cursor every tick while any
-// waiter is armed, and parks when the wheel drains.
+// task is armed, and parks when the wheel drains.
 type Wheel struct {
 	tick  time.Duration
 	mask  int64
-	slots []*waiter
+	epoch time.Time
 
 	mu      sync.Mutex
-	cur     int64 // absolute tick index of the next slot to fire
-	epoch   time.Time
-	active  int  // armed waiters
-	running bool // ticker goroutine live
-	wakeCh  chan struct{}
-
-	ticks, armed, fired, canceled atomic.Int64
+	slots   []*Task
+	cur     int64 // absolute index of the slot the last pass ended in
+	active  int   // armed tasks
+	running bool  // ticker goroutine live
+	stats   Stats
 }
 
 // New builds a wheel with the given tick and slot count (zero values select
@@ -101,11 +112,10 @@ func New(tick time.Duration, slots int) *Wheel {
 		n <<= 1
 	}
 	return &Wheel{
-		tick:   tick,
-		mask:   int64(n - 1),
-		slots:  make([]*waiter, n),
-		epoch:  time.Now(),
-		wakeCh: make(chan struct{}, 1),
+		tick:  tick,
+		mask:  int64(n - 1),
+		slots: make([]*Task, n),
+		epoch: time.Now(),
 	}
 }
 
@@ -121,57 +131,79 @@ func Default() *Wheel {
 	return defaultWheel
 }
 
-// now returns the current absolute tick index.
-func (w *Wheel) now() int64 {
-	return int64(time.Since(w.epoch) / w.tick)
-}
-
-// arm inserts a waiter firing after d and returns it. Rounded up to a whole
-// tick so a wait never fires early.
+// At arms tk to run on the first pass at or after t — never before t, and
+// on a wheel that keeps up no more than one tick after it. An already armed
+// task is moved to the new deadline. A running ticker needs no wake-up (it
+// comes by every tick anyway); a parked one is restarted.
 //
 //xmovie:hotpath
-func (w *Wheel) arm(d time.Duration) *waiter {
-	//xmovie:pool-escape ownership transfers to the slot ring; fireSlot/cancel/Wait pool the waiter after its CAS settles
-	t := waiterPool.Get().(*waiter)
-	t.state.Store(waiterArmed)
-	ticks := int64((d + w.tick - 1) / w.tick)
-	if ticks < 1 {
-		ticks = 1
-	}
+func (w *Wheel) At(t time.Time, tk *Task) {
+	deadline := t.Sub(w.epoch)
 	w.mu.Lock()
-	// Deadlines are relative to the cursor, not the clock: the cursor may
-	// trail wall time while the ticker catches up, and an insert below it
-	// would otherwise wait a whole revolution.
-	base := w.cur
-	if n := w.now(); n > base {
-		base = n
-	}
-	t.deadline = base + ticks
-	slot := t.deadline & w.mask
-	t.next = w.slots[slot]
-	w.slots[slot] = t
-	w.active++
 	if !w.running {
 		w.running = true
-		w.cur = w.now()
+		w.cur = int64(time.Since(w.epoch) / w.tick)
 		//xmovie:allow-alloc first arm after an idle period restarts the tick goroutine; steady state never takes this branch
 		go w.run()
 	}
-	w.mu.Unlock()
-	w.armed.Add(1)
-	select {
-	case w.wakeCh <- struct{}{}:
-	default:
+	if tk.prev != nil {
+		if tk.deadline == deadline {
+			w.mu.Unlock()
+			return
+		}
+		w.unlink(tk)
+	} else {
+		w.stats.Armed++
 	}
-	return t
+	tk.deadline = deadline
+	// A deadline behind the cursor has passed: its own slot would wait out
+	// a whole revolution, the cursor's is looked at on the next pass.
+	slot := int64(deadline / w.tick)
+	if slot < w.cur {
+		slot = w.cur
+	}
+	head := &w.slots[slot&w.mask]
+	tk.next, tk.prev = *head, head
+	if tk.next != nil {
+		tk.next.prev = &tk.next
+	}
+	*head = tk
+	w.active++
+	w.mu.Unlock()
 }
 
-// run advances the wheel while waiters are armed, then parks. One runtime
+// unlink takes an armed task out of its slot. Caller holds w.mu.
+func (w *Wheel) unlink(tk *Task) {
+	*tk.prev = tk.next
+	if tk.next != nil {
+		tk.next.prev = tk.prev
+	}
+	tk.next, tk.prev = nil, nil
+	w.active--
+}
+
+// Cancel disarms tk and reports whether it was armed. After true Fn will
+// not run and the wheel holds no reference to the task; after false the
+// task was idle or its run has already been dispatched — Fn may be running
+// or about to.
+func (w *Wheel) Cancel(tk *Task) bool {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if tk.prev == nil {
+		return false
+	}
+	w.unlink(tk)
+	w.stats.Canceled++
+	return true
+}
+
+// run advances the wheel while tasks are armed, then parks. One runtime
 // timer total, re-armed per tick.
 func (w *Wheel) run() {
 	//xmovie:allow-timer the wheel's own tick driver: the ONE runtime timer every paced stream shares
 	timer := time.NewTimer(w.tick)
 	defer timer.Stop()
+	var due []*Task
 	for {
 		w.mu.Lock()
 		if w.active == 0 {
@@ -179,102 +211,71 @@ func (w *Wheel) run() {
 			w.mu.Unlock()
 			return
 		}
-		target := w.now()
-		for w.cur <= target {
-			w.fireSlot(w.cur)
-			w.cur++
-			w.ticks.Add(1)
-		}
-		next := w.epoch.Add(time.Duration(w.cur) * w.tick)
-		w.mu.Unlock()
-		timer.Reset(time.Until(next))
-		select {
-		case <-timer.C:
-		case <-w.wakeCh:
-			// A fresh arm may need the goroutine alive even if the slot scan
-			// below fires nothing; just rescan.
-			if !timer.Stop() {
-				select {
-				case <-timer.C:
-				default:
-				}
+		// Every slot since the last pass, and the one now falls in as far
+		// as now: the cursor stays on it for the next pass to finish.
+		now := time.Since(w.epoch)
+		for last := int64(now / w.tick); ; w.cur++ {
+			due = w.fireSlot(w.cur, now, due)
+			if w.cur >= last {
+				break
 			}
 		}
+		w.stats.Ticks++
+		w.mu.Unlock()
+		for i, tk := range due {
+			tk.Fn()
+			due[i] = nil // a finished stream's task must not linger in the tail
+		}
+		due = due[:0]
+		timer.Reset(w.tick)
+		<-timer.C
 	}
 }
 
-// fireSlot releases every waiter in slot whose deadline has arrived.
+// fireSlot unlinks every task in the slot whose deadline has arrived by now
+// and appends it to due, for the caller to run once w.mu is released.
 // Caller holds w.mu.
 //
 //xmovie:hotpath
-func (w *Wheel) fireSlot(tick int64) {
-	slot := tick & w.mask
-	var keep *waiter
-	t := w.slots[slot]
-	for t != nil {
-		next := t.next
-		switch {
-		case t.state.Load() == waiterCanceled:
-			// The canceler returned long ago; the wheel reclaims the husk.
-			w.active--
-			t.next = nil
-			waiterPool.Put(t)
-		case t.deadline <= tick:
-			w.active--
-			t.next = nil
-			if t.state.CompareAndSwap(waiterArmed, waiterFired) {
-				w.fired.Add(1)
-				t.ch <- struct{}{}
-			} else {
-				// Canceled between the state check and the CAS.
-				waiterPool.Put(t)
-			}
-		default:
-			// A later revolution's waiter hashed here; keep it.
-			t.next = keep
-			keep = t
+func (w *Wheel) fireSlot(slot int64, now time.Duration, due []*Task) []*Task {
+	for tk := w.slots[slot&w.mask]; tk != nil; {
+		next := tk.next
+		// A later revolution's task hashed here stays.
+		if tk.deadline <= now {
+			w.unlink(tk)
+			w.stats.Fired++
+			due = append(due, tk)
 		}
-		t = next
+		tk = next
 	}
-	w.slots[slot] = keep
-}
-
-// cancel marks a waiter dead. If the wheel already fired it, the signal is
-// drained so the waiter can be pooled; either way the caller must not touch
-// it afterwards. Only for waiters whose channel the caller owns exclusively
-// (Wait) — a fired signal may still be in flight, so the drain blocks
-// briefly. Timer.Stop must not use it (the user may have consumed C()).
-func (w *Wheel) cancel(t *waiter) {
-	if t.state.CompareAndSwap(waiterArmed, waiterCanceled) {
-		// The wheel will find the husk and pool it; nothing to drain.
-		w.canceled.Add(1)
-		return
-	}
-	// Lost the race: the signal is in flight (or landed). Drain and pool
-	// here — the wheel is done with the waiter once it fired.
-	<-t.ch
-	waiterPool.Put(t)
+	return due
 }
 
 // Wait blocks until d has elapsed or cancel is signalled (closed or sent
 // to); it reports false when canceled first. A nil cancel waits
-// unconditionally. This is the pacing primitive: one pooled waiter, no
-// allocation in the steady state.
+// unconditionally. It never returns true before d has elapsed. One pooled
+// waiter, no allocation in the steady state.
 //
 //xmovie:hotpath
 func (w *Wheel) Wait(d time.Duration, cancel <-chan struct{}) bool {
 	if d <= 0 {
 		return true
 	}
-	t := w.arm(d)
+	t := waiterPool.Get().(*waiter)
+	w.At(time.Now().Add(d), &t.Task)
+	elapsed := true
 	select {
 	case <-t.ch:
-		waiterPool.Put(t)
-		return true
 	case <-cancel:
-		w.cancel(t)
-		return false
+		elapsed = false
+		if !w.Cancel(&t.Task) {
+			// Lost the race: the signal is in flight (or landed). Drain it
+			// so the waiter goes back to the pool empty.
+			<-t.ch
+		}
 	}
+	waiterPool.Put(t)
+	return elapsed
 }
 
 // Sleep blocks for d on the wheel's granularity.
@@ -290,7 +291,10 @@ type Timer struct {
 
 // NewTimer arms a timer firing once after d.
 func (w *Wheel) NewTimer(d time.Duration) *Timer {
-	return &Timer{w: w, t: w.arm(d)}
+	//xmovie:pool-escape ownership transfers to the Timer; Stop pools the waiter unless its signal may still be in flight
+	t := waiterPool.Get().(*waiter)
+	w.At(time.Now().Add(d), &t.Task)
+	return &Timer{w: w, t: t}
 }
 
 // C returns the firing channel (signalled by send, capacity 1).
@@ -302,9 +306,8 @@ func (t *Timer) Stop() {
 	if t.t == nil {
 		return
 	}
-	if t.t.state.CompareAndSwap(waiterArmed, waiterCanceled) {
-		// The wheel will find the husk in its slot and pool it.
-		t.w.canceled.Add(1)
+	if t.w.Cancel(&t.t.Task) {
+		waiterPool.Put(t.t)
 	} else {
 		// Already fired. The signal is in C(), consumed by the caller, or —
 		// in a narrow race — still being sent by the wheel. Drain what is
@@ -320,10 +323,7 @@ func (t *Timer) Stop() {
 
 // Stats snapshots the wheel's counters.
 func (w *Wheel) Stats() Stats {
-	return Stats{
-		Ticks:    w.ticks.Load(),
-		Armed:    w.armed.Load(),
-		Fired:    w.fired.Load(),
-		Canceled: w.canceled.Load(),
-	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.stats
 }

@@ -1,6 +1,7 @@
 package timewheel
 
 import (
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -181,6 +182,118 @@ func TestConcurrentTimers(t *testing.T) {
 	wg.Wait()
 	st := w.Stats()
 	if st.Fired+st.Canceled != st.Armed {
+		t.Fatalf("books do not balance: %+v", st)
+	}
+}
+
+// TestWaitNeverEarly is the regression test for deadlines taken from the
+// cursor instead of the clock: a Wait armed late in a tick used to fire at
+// the next tick boundary, microseconds later. Waits are armed at every phase
+// of the tick; none may return before its duration has elapsed.
+func TestWaitNeverEarly(t *testing.T) {
+	w := New(time.Millisecond, 64)
+	for i := 0; i < 400; i++ {
+		time.Sleep(time.Duration(i%10) * 100 * time.Microsecond)
+		start := time.Now()
+		w.Wait(time.Millisecond, nil)
+		if e := time.Since(start); e < time.Millisecond {
+			t.Fatalf("wait %d: Wait(1ms) returned after %v", i, e)
+		}
+	}
+}
+
+// TestAtRunsWithinATick pins the absolute-deadline arm: a task never runs
+// before its deadline, and the wheel adds at most one tick to it. The
+// wake-up latency of the tick goroutine comes on top and is the
+// scheduler's, so the bound is asserted on the median, with a looser one on
+// the ninth decile.
+func TestAtRunsWithinATick(t *testing.T) {
+	w := New(time.Millisecond, 64)
+	ran := make(chan time.Time, 1)
+	tk := &Task{Fn: func() { ran <- time.Now() }}
+	late := make([]time.Duration, 200)
+	for i := range late {
+		deadline := time.Now().Add(time.Duration(2000+i*37%1000) * time.Microsecond)
+		w.At(deadline, tk)
+		late[i] = (<-ran).Sub(deadline)
+		if late[i] < 0 {
+			t.Fatalf("task %d ran %v before its deadline", i, -late[i])
+		}
+	}
+	sort.Slice(late, func(i, j int) bool { return late[i] < late[j] })
+	if p50, p90 := late[len(late)/2], late[len(late)*9/10]; p50 > time.Millisecond || p90 > 2*time.Millisecond {
+		t.Fatalf("tasks ran late by p50 %v, p90 %v; want within one tick (two at p90)", p50, p90)
+	}
+}
+
+// TestTaskMoveCancelRearm covers the caller-owned task's life cycle: At on
+// an armed task moves it, Fn may re-arm its own task (callbacks run with no
+// wheel lock held), Cancel reports whether a run was prevented, and the
+// books balance with nothing left armed.
+func TestTaskMoveCancelRearm(t *testing.T) {
+	w := New(time.Millisecond, 64)
+	runs := make(chan struct{}, 8)
+	var tk Task
+	left := 3
+	tk.Fn = func() {
+		runs <- struct{}{}
+		if left--; left > 0 {
+			w.At(time.Now().Add(time.Millisecond), &tk)
+		}
+	}
+	w.At(time.Now().Add(time.Hour), &tk)
+	w.At(time.Now().Add(2*time.Millisecond), &tk) // moved, not armed twice
+	for i := 0; i < 3; i++ {
+		select {
+		case <-runs:
+		case <-time.After(2 * time.Second):
+			t.Fatalf("run %d never came", i)
+		}
+	}
+	if w.Cancel(&tk) {
+		t.Fatal("Cancel of an idle task reported true")
+	}
+	w.At(time.Now().Add(time.Hour), &tk)
+	if !w.Cancel(&tk) {
+		t.Fatal("Cancel of an armed task reported false")
+	}
+	if st := w.Stats(); st.Armed != 4 || st.Fired != 3 || st.Canceled != 1 {
+		t.Fatalf("stats = %+v, want 4 armed / 3 fired / 1 canceled", st)
+	}
+	select {
+	case <-runs:
+		t.Fatal("canceled task ran")
+	case <-time.After(5 * time.Millisecond):
+	}
+}
+
+// TestArmsDoNotWakeTheTicker: a running ticker comes by every tick anyway,
+// so arming must not rouse it. Thousands of arms while it runs cause no
+// pass beyond the one per elapsed tick.
+func TestArmsDoNotWakeTheTicker(t *testing.T) {
+	w := New(time.Millisecond, 64)
+	tasks := make([]Task, 1000)
+	far := time.Now().Add(time.Hour)
+	for i := range tasks {
+		tasks[i].Fn = func() {}
+		w.At(far, &tasks[i])
+	}
+	time.Sleep(3 * time.Millisecond) // the ticker is up
+	before, start, arms := w.Stats().Ticks, time.Now(), 0
+	for time.Since(start) < 50*time.Millisecond {
+		for i := range tasks {
+			w.At(far.Add(time.Duration(arms)), &tasks[i])
+			arms++
+		}
+	}
+	elapsed := time.Since(start)
+	if passes := w.Stats().Ticks - before; passes > int64(elapsed/time.Millisecond)+1 {
+		t.Fatalf("%d arms in %v caused %d passes", arms, elapsed, passes)
+	}
+	for i := range tasks {
+		w.Cancel(&tasks[i])
+	}
+	if st := w.Stats(); st.Fired+st.Canceled != st.Armed {
 		t.Fatalf("books do not balance: %+v", st)
 	}
 }
