@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test test-short verify fmt-check vet lint generate generate-check \
+.PHONY: build test test-short verify fmt-check vet lint cross generate generate-check \
 	metrics-guard bench-check bench-smoke bench-guard bench-trajectory load-smoke \
 	load-stream load-disk load-broadcast load-chaos load-qos load-scale ci
 
@@ -42,6 +42,15 @@ vet:
 lint:
 	$(GO) run ./cmd/xmovievet ./...
 
+# Cross-build: the data plane has platform files (sendmmsg on linux
+# amd64/arm64, a copying SendBatch elsewhere; a non-blocking read on unix,
+# a read deadline elsewhere) that a linux build never compiles.
+cross:
+	GOOS=darwin GOARCH=arm64 $(GO) build ./...
+	GOOS=windows GOARCH=amd64 $(GO) build ./...
+	GOOS=linux GOARCH=386 $(GO) build ./...
+	GOOS=freebsd GOARCH=amd64 $(GO) build ./...
+
 # The benchmark harness is a module of its own (bench/go.mod), so the
 # root's fmt-check, vet, test and lint never reach it; bench/run.sh check
 # runs the same four gates over bench/ (it builds into .bench_build/).
@@ -72,13 +81,14 @@ bench-smoke:
 
 # Hot-path guard: allocation-regression tests (pooled runtime cycle,
 # append-path codecs, MTP stream paths — including the FrameSource send
-# path, the paced emit path stepped by the timer wheel and the zero-copy
-# batched send path with its syscall-count bound — and the disk store's
-# cached read path) + append-vs-schema byte-identity
-# proofs and the cold/cached disk-read benchmark, then the mcambench
-# -json smoke emitting BENCH_*.json into bench-out/.
+# path, the paced emit path stepped by the timer wheel, the zero-copy
+# batched send path with its syscall-count bound and the UDP conn's
+# SendBatch/TryRecv — and the disk store's cached read path) +
+# append-vs-schema byte-identity proofs and the cold/cached disk-read
+# benchmark, then the mcambench -json smoke emitting BENCH_*.json into
+# bench-out/.
 bench-guard:
-	$(GO) test -run='TestSendSelectFireAllocs|TestPDUEncodeAllocs|TestPPDUEncodeAllocs|TestStreamPathAllocs|TestFrameSourceSendAllocs|TestPacedEmitAllocs|TestLiveTailSendAllocs|TestBatchedSendAllocs|TestBatchedSendSyscalls|TestDiskCachedReadAllocs|TestAppendMatchesSchemaEncoder' \
+	$(GO) test -run='TestSendSelectFireAllocs|TestPDUEncodeAllocs|TestPPDUEncodeAllocs|TestStreamPathAllocs|TestFrameSourceSendAllocs|TestPacedEmitAllocs|TestLiveTailSendAllocs|TestBatchedSendAllocs|TestBatchedSendSyscalls|TestUDPConnAllocs|TestDiskCachedReadAllocs|TestAppendMatchesSchemaEncoder' \
 		./internal/estelle ./internal/mcam ./internal/presentation ./internal/mtp ./internal/moviedb
 	$(GO) test -run='^$$' -bench='BenchmarkDiskStream' -benchtime=10x -benchmem ./internal/moviedb
 	mkdir -p bench-out
@@ -184,6 +194,6 @@ load-scale:
 		-json -out mcamload_scale -outdir bench-out
 
 # Everything CI checks, locally.
-ci: fmt-check vet lint bench-check build generate-check test-short test bench-smoke bench-guard \
+ci: fmt-check vet lint cross bench-check build generate-check test-short test bench-smoke bench-guard \
 	bench-trajectory load-smoke load-stream load-disk load-broadcast load-chaos \
 	load-qos load-scale

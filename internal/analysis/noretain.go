@@ -7,7 +7,7 @@ import (
 
 // NoRetain enforces the consume-before-return aliasing contracts of the
 // delivery paths (PR 2/4/9): transport.Conn.Send buffers, mtp PacketConn
-// Send payloads, VecConn.SendVec hdr/payload pairs, and deliver-callback
+// Send payloads, StreamConn.SendBatch hdr/payload pairs, and deliver-callback
 // frames are valid only for the duration of the call — callers reuse
 // marshal buffers and the storage layer recycles chunks the moment the
 // call returns. An implementation that squirrels such a slice away

@@ -276,49 +276,30 @@ type faultContent struct {
 
 func (c *faultContent) Len() int64 { return c.inner.Len() }
 func (c *faultContent) Open() moviedb.FrameSource {
-	return &faultSource{inner: c.inner.Open(), s: c.s}
+	return &faultSource{FrameSource: c.inner.Open(), s: c.s}
 }
 
-// faultSource gates every frame read. It forwards the optional
-// WaitCanceler / EdgeWaiter / ResidentReporter contracts so live-edge
-// cancellation and pacing accounting keep working through the wrapper.
+// faultSource gates every frame read: NextBatch hands out nothing, so each
+// frame is read through Next and passes the gate. The rest of the contract
+// is the wrapped source's.
 type faultSource struct {
-	inner moviedb.FrameSource
-	s     *FaultStore
+	moviedb.FrameSource
+	s *FaultStore
 }
-
-func (f *faultSource) Len() int64 { return f.inner.Len() }
-func (f *faultSource) Pos() int64 { return f.inner.Pos() }
 
 func (f *faultSource) Next() ([]byte, error) {
 	if err := f.s.gate("read"); err != nil {
 		return nil, err
 	}
-	return f.inner.Next()
+	return f.FrameSource.Next()
 }
 
-func (f *faultSource) SeekTo(pos int64) error { return f.inner.SeekTo(pos) }
-func (f *faultSource) Close() error           { return f.inner.Close() }
-
-// CancelWait forwards live-edge cancellation (moviedb.WaitCanceler).
-func (f *faultSource) CancelWait() {
-	if w, ok := f.inner.(moviedb.WaitCanceler); ok {
-		w.CancelWait()
-	}
-}
-
-// TakeWaited forwards live-edge wait accounting (mtp.EdgeWaiter).
-func (f *faultSource) TakeWaited() time.Duration {
-	if w, ok := f.inner.(interface{ TakeWaited() time.Duration }); ok {
-		return w.TakeWaited()
-	}
-	return 0
-}
+func (f *faultSource) NextBatch(int) [][]byte { return nil }
 
 // MaxResident forwards the chunk-window residency probe
 // (moviedb.ResidentReporter).
 func (f *faultSource) MaxResident() int {
-	if r, ok := f.inner.(interface{ MaxResident() int }); ok {
+	if r, ok := f.FrameSource.(moviedb.ResidentReporter); ok {
 		return r.MaxResident()
 	}
 	return 0

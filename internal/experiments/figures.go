@@ -88,7 +88,8 @@ func Table1() (*Result, error) {
 		defer wg.Done()
 		rstats, _ = mtp.ReceiveStream(b, mtp.ReceiverConfig{}, nil)
 	}()
-	sstats, err := mtp.SendStream(a, movie.Frames, mtp.SenderConfig{StreamID: 1, FrameRate: movie.FrameRate, EOSRepeats: 10})
+	sender := mtp.NewStreamSender(a, mtp.StreamConfig{StreamID: 1, FrameRate: movie.FrameRate, EOSRepeats: 10})
+	sstats, err := sender.Run(moviedb.SliceContent(movie.Frames).Open())
 	if err != nil {
 		return nil, err
 	}

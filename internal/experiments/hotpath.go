@@ -11,7 +11,6 @@
 package experiments
 
 import (
-	"fmt"
 	"testing"
 
 	"xmovie/internal/estelle"
@@ -150,38 +149,16 @@ func (c *hotReplayConn) Recv() ([]byte, error) {
 	return p, nil
 }
 
-// hotSinkConn discards packets.
-type hotSinkConn struct{}
-
-func (hotSinkConn) Send([]byte) error     { return nil }
-func (hotSinkConn) Recv() ([]byte, error) { return nil, fmt.Errorf("sink") }
-
 const (
 	hotFrames    = 64
 	hotFrameSize = 4096
 )
 
-func benchMTPSend(b *testing.B) {
-	frames := make([][]byte, hotFrames)
-	for i := range frames {
-		frames[i] = make([]byte, hotFrameSize)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := mtp.SendStream(hotSinkConn{}, frames, mtp.SenderConfig{StreamID: 1}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// hotBatchSink discards packets through every zero-copy entry point.
+// hotBatchSink discards packets and never has feedback.
 type hotBatchSink struct{}
 
-func (hotBatchSink) Send([]byte) error                    { return nil }
-func (hotBatchSink) Recv() ([]byte, error)                { return nil, fmt.Errorf("sink") }
-func (hotBatchSink) SendVec(hdr, p []byte) error          { return nil }
 func (hotBatchSink) SendBatch(pkts []mtp.PacketVec) error { return nil }
+func (hotBatchSink) TryRecv() ([]byte, bool)              { return nil, false }
 
 func benchMTPSendVec(b *testing.B) {
 	frames := make([][]byte, hotFrames)
@@ -243,7 +220,6 @@ func HotPaths() []HotPathResult {
 		hotResult("sendselectfire", 0, testing.Benchmark(benchSendSelectFire)),
 		hotResult("pduencode", 0, testing.Benchmark(benchPDUEncode)),
 		hotResult("pdudecode", 64, testing.Benchmark(benchPDUDecode)),
-		hotResult("mtpsend", 1, testing.Benchmark(benchMTPSend)),
 		hotResult("mtpsendvec", 8, testing.Benchmark(benchMTPSendVec)),
 		hotResult("mtprecv", 2, testing.Benchmark(benchMTPRecv)),
 	}

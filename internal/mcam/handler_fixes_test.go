@@ -121,11 +121,14 @@ func (brokenContent) Open() moviedb.FrameSource { return brokenSource{} }
 
 type brokenSource struct{}
 
-func (brokenSource) Len() int64            { return 3 }
-func (brokenSource) Pos() int64            { return 0 }
-func (brokenSource) Next() ([]byte, error) { return nil, errors.New("generator exploded") }
-func (brokenSource) SeekTo(int64) error    { return nil }
-func (brokenSource) Close() error          { return nil }
+func (brokenSource) Len() int64                { return 3 }
+func (brokenSource) Pos() int64                { return 0 }
+func (brokenSource) Next() ([]byte, error)     { return nil, errors.New("generator exploded") }
+func (brokenSource) NextBatch(int) [][]byte    { return nil }
+func (brokenSource) SeekTo(int64) error        { return nil }
+func (brokenSource) CancelWait()               {}
+func (brokenSource) TakeWaited() time.Duration { return 0 }
+func (brokenSource) Close() error              { return nil }
 
 func TestRecordOntoOpaqueContent(t *testing.T) {
 	// Recording never needs to materialize the existing content — appended

@@ -13,7 +13,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // On-disk layout (one directory per movie under the store root):
@@ -834,26 +833,30 @@ func (c *diskContent) Open() FrameSource {
 	ends := c.m.ends[:len(c.m.ends):len(c.m.ends)]
 	c.m.mu.RUnlock()
 	return &diskSource{
-		m:     c.m,
-		cache: c.m.store.cache,
-		cf:    int64(c.m.store.chunkFrames),
-		ends:  ends,
-		lo:    -1,
-		hi:    -1,
-		tc:    newTailCursor(),
+		m:          c.m,
+		cache:      c.m.store.cache,
+		cf:         int64(c.m.store.chunkFrames),
+		ends:       ends,
+		lo:         -1,
+		hi:         -1,
+		tailCursor: newTailCursor(),
 	}
 }
 
 // deadSource stands in for a movie that vanished between Get and Open: it
 // plays as zero frames.
-type deadSource struct{ name string }
+type deadSource struct {
+	fixedFrames
+	name string
+}
 
 var _ FrameSource = (*deadSource)(nil)
 
-func (d *deadSource) Len() int64            { return 0 }
-func (d *deadSource) Pos() int64            { return 0 }
-func (d *deadSource) Next() ([]byte, error) { return nil, io.EOF }
-func (d *deadSource) Close() error          { return nil }
+func (d *deadSource) Len() int64             { return 0 }
+func (d *deadSource) Pos() int64             { return 0 }
+func (d *deadSource) Next() ([]byte, error)  { return nil, io.EOF }
+func (d *deadSource) NextBatch(int) [][]byte { return nil }
+func (d *deadSource) Close() error           { return nil }
 
 func (d *deadSource) SeekTo(pos int64) error {
 	if pos != 0 {
@@ -884,8 +887,9 @@ type diskSource struct {
 	lo, hi     int64 // frame range loaded into chunk
 	maxChunk   int
 	closed     bool
-	tc         tailCursor
 	batch      [][]byte // reused NextBatch result
+	// tailCursor provides CancelWait and TakeWaited.
+	tailCursor
 }
 
 var (
@@ -938,7 +942,7 @@ func (s *diskSource) Next() ([]byte, error) {
 		if s.pos < int64(len(s.ends)) {
 			continue
 		}
-		if win == nil || !s.tc.await(win, s.pos) {
+		if win == nil || !s.await(win, s.pos) {
 			return nil, io.EOF
 		}
 	}
@@ -947,7 +951,7 @@ func (s *diskSource) Next() ([]byte, error) {
 	return payload, nil
 }
 
-// NextBatch implements mtp.BatchSource: it serves up to max further frames
+// NextBatch implements FrameSource: it serves up to max further frames
 // from the RESIDENT chunk only — the warm-stream fast path — never loading
 // a chunk, touching the cache, or waiting at the live edge (those paths
 // fall back to Next). Each returned slice aliases the immutable cache
@@ -1020,7 +1024,7 @@ func (s *diskSource) Close() error {
 		return nil
 	}
 	s.closed = true
-	s.tc.CancelWait()
+	s.CancelWait()
 	s.chunk = nil
 	s.lo, s.hi = -1, -1
 	s.m.release()
@@ -1030,11 +1034,3 @@ func (s *diskSource) Close() error {
 // MaxResident implements ResidentReporter: the largest chunk this source
 // has held resident, in bytes.
 func (s *diskSource) MaxResident() int { return s.maxChunk }
-
-// CancelWait implements WaitCanceler: any Next parked at the live edge
-// unblocks and returns io.EOF, as do all future edge waits.
-func (s *diskSource) CancelWait() { s.tc.CancelWait() }
-
-// TakeWaited reports and resets the time Next has spent blocked at the
-// live edge, for senders that pace against a wall clock.
-func (s *diskSource) TakeWaited() time.Duration { return s.tc.TakeWaited() }

@@ -186,10 +186,10 @@ func (w *LiveWindow) waitAt(i int64, cancel <-chan struct{}) (bool, time.Duratio
 }
 
 // tailCursor bundles the per-source live-edge machinery shared by the
-// store-backed sources: a cancel channel that aborts a wait in progress
-// (the SPA uses it to unwedge a stream blocked at the edge during
-// Stop/Drain) and the accumulated blocked time the MTP sender drains
-// through the EdgeWaiter contract.
+// store-backed sources, which embed it for FrameSource's CancelWait and
+// TakeWaited: a cancel channel that aborts a wait in progress (the SPA uses
+// it to unwedge a stream blocked at the edge during Stop/Drain) and the
+// accumulated blocked time the MTP sender drains.
 type tailCursor struct {
 	cancelOnce sync.Once
 	cancel     chan struct{}
@@ -218,8 +218,8 @@ func (t *tailCursor) CancelWait() {
 }
 
 // TakeWaited returns and resets the cumulative time this source spent
-// blocked at the live edge since the previous call — the mtp.EdgeWaiter
-// contract, which keeps paced senders from booking edge waits as overdue.
+// blocked at the live edge since the previous call, which keeps paced
+// senders from booking edge waits as overdue.
 func (t *tailCursor) TakeWaited() time.Duration {
 	return time.Duration(t.waited.Swap(0))
 }

@@ -189,7 +189,7 @@ func TestCancelWaitUnblocksViewer(t *testing.T) {
 			done <- err
 		}()
 		time.Sleep(5 * time.Millisecond)
-		src.(WaitCanceler).CancelWait()
+		src.CancelWait()
 		select {
 		case err := <-done:
 			if err != io.EOF {

@@ -16,7 +16,6 @@ import (
 	"io"
 	"sort"
 	"sync"
-	"time"
 )
 
 // Format identifies a movie's digital image format.
@@ -381,7 +380,7 @@ func (c *memContent) Open() FrameSource {
 	base := c.mm.base
 	baseLen := c.mm.baseLen
 	c.mm.mu.Unlock()
-	src := &memSource{mm: c.mm, baseLen: baseLen, tc: newTailCursor()}
+	src := &memSource{mm: c.mm, baseLen: baseLen, tailCursor: newTailCursor()}
 	if base != nil {
 		src.base = base.Open()
 	}
@@ -398,8 +397,9 @@ type memSource struct {
 	baseLen int64
 	pos     int64
 	closed  bool
-	tc      tailCursor
 	batch   [][]byte // reused NextBatch result
+	// tailCursor provides CancelWait and TakeWaited.
+	tailCursor
 }
 
 func (s *memSource) Len() int64 {
@@ -436,13 +436,13 @@ func (s *memSource) Next() ([]byte, error) {
 		}
 		win := s.mm.live
 		s.mm.mu.Unlock()
-		if win == nil || !s.tc.await(win, s.pos) {
+		if win == nil || !s.await(win, s.pos) {
 			return nil, io.EOF
 		}
 	}
 }
 
-// NextBatch implements mtp.BatchSource: base-content frames forward to the
+// NextBatch implements FrameSource: base-content frames forward to the
 // base cursor's own batching; already-appended frames are immutable and
 // resident, so they batch directly. Returns nothing at the live edge (Next
 // handles waiting there).
@@ -451,10 +451,6 @@ func (s *memSource) NextBatch(max int) [][]byte {
 		return nil
 	}
 	if s.pos < s.baseLen {
-		b, ok := s.base.(interface{ NextBatch(int) [][]byte })
-		if !ok {
-			return nil
-		}
 		if left := s.baseLen - s.pos; int64(max) > left {
 			max = int(left)
 		}
@@ -463,7 +459,7 @@ func (s *memSource) NextBatch(max int) [][]byte {
 				return nil
 			}
 		}
-		out := b.NextBatch(max)
+		out := s.base.NextBatch(max)
 		s.pos += int64(len(out))
 		return out
 	}
@@ -493,20 +489,12 @@ func (s *memSource) SeekTo(pos int64) error {
 
 func (s *memSource) Close() error {
 	s.closed = true
-	s.tc.CancelWait()
+	s.CancelWait()
 	if s.base != nil {
 		return s.base.Close()
 	}
 	return nil
 }
-
-// CancelWait implements WaitCanceler: any Next parked at the live edge
-// unblocks and returns io.EOF, as do all future edge waits.
-func (s *memSource) CancelWait() { s.tc.CancelWait() }
-
-// TakeWaited reports and resets the time Next has spent blocked at the
-// live edge, for senders that pace against a wall clock.
-func (s *memSource) TakeWaited() time.Duration { return s.tc.TakeWaited() }
 
 // MaxResident forwards the base cursor's bound, if it reports one.
 func (s *memSource) MaxResident() int {

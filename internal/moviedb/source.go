@@ -3,12 +3,14 @@ package moviedb
 import (
 	"fmt"
 	"io"
+	"time"
 )
 
 // FrameSource is a lazy, bounded-memory iterator over a movie's frames —
-// the unit the data plane streams from. A Stream Provider Agent pulls one
-// frame at a time; sources materialize at most a small chunk window, so a
-// feature-length movie never has to exist in memory as a whole.
+// the one contract between the data plane and what it streams from: the
+// mtp stream sender reads every source through it, with no optional
+// extension to probe for. Sources materialize at most a small chunk window,
+// so a feature-length movie never has to exist in memory as a whole.
 //
 // Movies are readable while appendable. A source opened on a movie with an
 // open recording session (Store.Record) follows the growing tail: history
@@ -18,10 +20,8 @@ import (
 // off between history and tail at the boundary frame with no gap and no
 // duplicate. Next returns io.EOF only once the movie is sealed (the last
 // recording session closed) and every frame has been returned, or after
-// the wait is canceled (store-backed sources implement CancelWait; the SPA
-// uses it to abort a blocked stream). Store-backed sources also implement
-// mtp.EdgeWaiter so paced senders treat time blocked at the edge like a
-// pause rather than as schedule slip.
+// CancelWait. Sources over a fixed set of frames never wait: their
+// CancelWait does nothing and their TakeWaited is always zero.
 //
 // Sources are single-consumer: one source drives one stream. Open a movie
 // again for a second concurrent stream.
@@ -36,24 +36,52 @@ type FrameSource interface {
 	// live edge until the frame exists, the movie seals, or the wait is
 	// canceled.
 	//
-	// The returned slice is only valid until the next Next, Seek or Close
-	// call on the same source — sources recycle their chunk buffers, so a
-	// consumer that keeps frame data must copy it. (This is the same
-	// lifetime contract the MTP layer imposes end to end: a conn's SendVec
-	// must consume the payload before returning, so a frame can travel
-	// from the chunk cache to the kernel without ever being re-copied in
-	// user space. Store-backed sources return slices pointing straight
-	// into the immutable cache chunk or live-window ring frame; neither
-	// the source, the sender, nor the conn may write into them.)
+	// The returned slice is only valid until the next Next, NextBatch,
+	// SeekTo or Close call on the same source — sources recycle their chunk
+	// buffers, so a consumer that keeps frame data must copy it. (This is
+	// the same lifetime contract the MTP layer imposes end to end: a conn's
+	// SendBatch must consume the payload before returning, so a frame can
+	// travel from the chunk cache to the kernel without ever being
+	// re-copied in user space. Store-backed sources return slices pointing
+	// straight into the immutable cache chunk or live-window ring frame;
+	// neither the source, the sender, nor the conn may write into them.)
 	Next() ([]byte, error)
-	// Seek repositions the source so the next Next returns frame pos.
+	// NextBatch returns up to max consecutive frames that are available
+	// right now from resident memory — the rest of a loaded chunk, or
+	// stored in-memory frames — and advances the position past them. It
+	// never blocks, never performs I/O and never waits at the live edge:
+	// when nothing is resident it returns an empty batch and the caller
+	// reads the next frame with Next. Every returned frame stays valid
+	// until the next Next, NextBatch, SeekTo or Close call (they alias one
+	// resident chunk), which is what lets a sender hand the whole batch to
+	// its conn as one write.
+	NextBatch(max int) [][]byte
+	// SeekTo repositions the source so the next Next returns frame pos.
 	// pos == Len() is valid; the next Next returns io.EOF — or, on a live
 	// movie, waits at the edge for frame pos to be appended.
 	SeekTo(pos int64) error
+	// CancelWait aborts any current or future wait at the live edge, making
+	// Next return io.EOF instead. It is safe to call from any goroutine —
+	// the hook the SPA uses to unwedge a stream during Stop/Drain.
+	CancelWait()
+	// TakeWaited returns — and resets — the time Next spent blocked at the
+	// live edge since the previous call. It is safe to call while Next
+	// blocks on another goroutine. A paced sender books that time like a
+	// pause: the frame did not exist yet, so waiting for it is not the
+	// stream running late.
+	TakeWaited() time.Duration
 	// Close releases the source's buffers and cancels any wait at the
 	// live edge. The source must not be used afterwards.
 	Close() error
 }
+
+// fixedFrames implements the live-edge half of FrameSource for sources over
+// a fixed set of frames: they never wait, so there is nothing to cancel or
+// to credit.
+type fixedFrames struct{}
+
+func (fixedFrames) CancelWait()               {}
+func (fixedFrames) TakeWaited() time.Duration { return 0 }
 
 // Content is a movie's frame payload. Immutable implementations
 // (SliceContent, SynthContent) carry fixed frames; store-backed
@@ -66,14 +94,6 @@ type Content interface {
 	Len() int64
 	// Open returns a fresh FrameSource positioned at frame 0.
 	Open() FrameSource
-}
-
-// WaitCanceler is implemented by sources that can block at the live edge:
-// CancelWait aborts any current or future edge wait, making Next return
-// io.EOF instead. It is safe to call from any goroutine — the hook the
-// SPA uses to unwedge a stream during Stop/Drain.
-type WaitCanceler interface {
-	CancelWait()
 }
 
 // SliceContent adapts materialized frames to Content — the thin adapter
@@ -94,6 +114,7 @@ func (c SliceContent) Open() FrameSource { return &sliceSource{frames: c} }
 // only add cost), so the slices it returns outlive the source — a strictly
 // weaker demand on consumers than the FrameSource contract requires.
 type sliceSource struct {
+	fixedFrames
 	frames [][]byte
 	pos    int64
 	batch  [][]byte // reused NextBatch result
@@ -111,8 +132,8 @@ func (s *sliceSource) Next() ([]byte, error) {
 	return f, nil
 }
 
-// NextBatch implements mtp.BatchSource: stored frames are all resident, so
-// up to max of them are handed out at once for a single batched write. The
+// NextBatch implements FrameSource: stored frames are all resident, so up
+// to max of them are handed out at once for a single batched write. The
 // batch slice is reused across calls.
 func (s *sliceSource) NextBatch(max int) [][]byte {
 	n := int64(len(s.frames)) - s.pos

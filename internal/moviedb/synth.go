@@ -128,6 +128,7 @@ func (c *SynthContent) Open() FrameSource { return &synthSource{c: c, hi: -1, lo
 // the currently materialized chunk window [lo, hi); refills regenerate it
 // in place, so the source's footprint is bounded by chunk × frame size.
 type synthSource struct {
+	fixedFrames
 	c     *SynthContent
 	pos   int64
 	arena []byte
@@ -155,6 +156,10 @@ func (s *synthSource) Next() ([]byte, error) {
 	s.pos++
 	return f, nil
 }
+
+// NextBatch implements FrameSource. It hands out nothing: every frame is
+// read through Next, which regenerates the window as the cursor leaves it.
+func (s *synthSource) NextBatch(int) [][]byte { return nil }
 
 // refill regenerates the chunk window starting at frame from, reusing the
 // arena allocation.

@@ -7,11 +7,12 @@ import (
 	"xmovie/internal/moviedb"
 )
 
-// sinkConn discards every packet: the null transmit path.
+// sinkConn discards every packet and never has feedback: the null
+// transmit path.
 type sinkConn struct{}
 
-func (sinkConn) Send([]byte) error     { return nil }
-func (sinkConn) Recv() ([]byte, error) { panic("sinkConn.Recv") }
+func (sinkConn) SendBatch([]PacketVec) error { return nil }
+func (sinkConn) TryRecv() ([]byte, bool)     { return nil, false }
 
 // replayConn replays a pre-encoded packet sequence: the null receive path.
 type replayConn struct {
@@ -43,16 +44,25 @@ func benchFrameSet() [][]byte {
 	return frames
 }
 
+// sendAll transmits frames unpaced over conn with a fresh StreamSender.
+func sendAll(conn StreamConn, src moviedb.FrameSource) (StreamStats, error) {
+	if err := src.SeekTo(0); err != nil {
+		return StreamStats{}, err
+	}
+	return NewStreamSender(conn, StreamConfig{StreamID: 1}).Run(src)
+}
+
 // BenchmarkMTPStream measures the data-plane packet paths: transmitting a
 // 64-frame stream into a null conn, and receiving a pre-encoded stream
 // (in order, no loss) through the reorder machinery.
 func BenchmarkMTPStream(b *testing.B) {
 	frames := benchFrameSet()
 	b.Run("send", func(b *testing.B) {
+		src := moviedb.SliceContent(frames).Open()
 		b.ReportAllocs()
 		b.SetBytes(benchFrames * benchFrameSize)
 		for i := 0; i < b.N; i++ {
-			if _, err := SendStream(sinkConn{}, frames, SenderConfig{StreamID: 1}); err != nil {
+			if _, err := sendAll(sinkConn{}, src); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -90,62 +100,46 @@ func BenchmarkMTPStream(b *testing.B) {
 	})
 }
 
-// nullVecConn discards packets through every delivery entry point: the
-// null zero-copy transmit path.
-type nullVecConn struct{}
-
-func (nullVecConn) Send([]byte) error                { return nil }
-func (nullVecConn) Recv() ([]byte, error)            { panic("nullVecConn.Recv") }
-func (nullVecConn) SendVec(hdr, p []byte) error      { return nil }
-func (nullVecConn) SendBatch(pkts []PacketVec) error { return nil }
-
 // BenchmarkFanOut measures warm-stream fan-out: one resident frame set
-// delivered to V viewers per iteration, on the legacy marshal-and-copy
-// path (a conn with only Send) versus the zero-copy coalesced path (a
-// batch-capable conn). The delta is the per-frame copy plus the per-frame
-// call overhead the batching amortizes; on a real UDP socket the batch
-// side additionally collapses V*frames syscalls into V*frames/32.
+// delivered to V viewers per iteration through the zero-copy coalesced
+// path. On a real UDP socket the batching collapses V*frames syscalls into
+// V*frames/32.
 func BenchmarkFanOut(b *testing.B) {
 	frames := benchFrameSet()
-	run := func(b *testing.B, conn PacketConn, viewers int) {
-		src := moviedb.SliceContent(frames).Open()
-		b.ReportAllocs()
-		b.SetBytes(int64(viewers) * benchFrames * benchFrameSize)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for v := 0; v < viewers; v++ {
-				if err := src.SeekTo(0); err != nil {
-					b.Fatal(err)
-				}
-				st, err := NewStreamSender(conn, StreamConfig{StreamID: 1}).Run(src)
-				if err != nil || st.Sent != benchFrames {
-					b.Fatalf("sent %d, err %v", st.Sent, err)
+	for _, viewers := range []int{100, 5000} {
+		b.Run(fmt.Sprintf("batch-%d", viewers), func(b *testing.B) {
+			src := moviedb.SliceContent(frames).Open()
+			b.ReportAllocs()
+			b.SetBytes(int64(viewers) * benchFrames * benchFrameSize)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for v := 0; v < viewers; v++ {
+					if st, err := sendAll(sinkConn{}, src); err != nil || st.Sent != benchFrames {
+						b.Fatalf("sent %d, err %v", st.Sent, err)
+					}
 				}
 			}
-		}
-	}
-	for _, viewers := range []int{100, 5000} {
-		b.Run(fmt.Sprintf("copy-%d", viewers), func(b *testing.B) { run(b, sinkConn{}, viewers) })
-		b.Run(fmt.Sprintf("batch-%d", viewers), func(b *testing.B) { run(b, nullVecConn{}, viewers) })
+		})
 	}
 }
 
 // TestStreamPathAllocs is the allocation regression guard for the stream
-// hot paths: with pooled marshal buffers and the copy-free in-order receive
-// path, neither direction may allocate per stream in steady state beyond
-// the per-call reorder map.
+// hot paths: with the header arena and the copy-free in-order receive
+// path, neither direction may allocate per frame — a send only for the
+// sender's per-stream setup, a receive only for the per-call reorder map.
 func TestStreamPathAllocs(t *testing.T) {
 	frames := benchFrameSet()
-	if _, err := SendStream(sinkConn{}, frames, SenderConfig{StreamID: 1}); err != nil {
+	src := moviedb.SliceContent(frames).Open()
+	if _, err := sendAll(sinkConn{}, src); err != nil {
 		t.Fatal(err)
 	}
 	sendAllocs := testing.AllocsPerRun(50, func() {
-		if _, err := SendStream(sinkConn{}, frames, SenderConfig{StreamID: 1}); err != nil {
-			t.Fatal(err)
+		if st, err := sendAll(sinkConn{}, src); err != nil || st.Sent != benchFrames {
+			t.Fatalf("sent %d, err %v", st.Sent, err)
 		}
 	})
-	if sendAllocs > 1 {
-		t.Fatalf("SendStream allocates %.1f times per 64-frame stream, want ≤ 1", sendAllocs)
+	if sendAllocs > 8 {
+		t.Fatalf("StreamSender allocates %.1f times per 64-frame stream, want ≤ 8", sendAllocs)
 	}
 
 	pkts := make([][]byte, 0, benchFrames+1)

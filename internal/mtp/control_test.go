@@ -8,7 +8,6 @@ import (
 
 	"xmovie/internal/moviedb"
 	"xmovie/internal/netsim"
-	"xmovie/internal/timewheel"
 )
 
 // Control-at-once tests: Seek, Pause, Resume and Stop act on the emitter
@@ -75,7 +74,7 @@ func (c *tap) awaitFrom(t *testing.T, from uint32) ([]seen, seen) {
 }
 
 // eachConn runs fn once per conn kind with a connected sender/receiver pair.
-func eachConn(t *testing.T, fn func(t *testing.T, send PacketConn, recv *tap)) {
+func eachConn(t *testing.T, fn func(t *testing.T, send StreamConn, recv *tap)) {
 	t.Run("simnet", func(t *testing.T) {
 		a, b, link := netsim.NewLink(netsim.Config{}, netsim.Config{})
 		defer link.Close()
@@ -98,7 +97,7 @@ func eachConn(t *testing.T, fn func(t *testing.T, send PacketConn, recv *tap)) {
 
 // controlled starts a paced stream of a resident movie (so the producer
 // fetches whole batches of maxCoalesce frames) and its receiver.
-func controlled(t *testing.T, send PacketConn, recv *tap, fps int) (*StreamSender, chan StreamStats, chan RecvStats) {
+func controlled(t *testing.T, send StreamConn, recv *tap, fps int) (*StreamSender, chan StreamStats, chan RecvStats) {
 	t.Helper()
 	frames := make([][]byte, 4000)
 	for i := range frames {
@@ -138,7 +137,7 @@ func await[T any](t *testing.T, what string, ch chan T) T {
 // packet out must be the target, with FlagSync, well inside that period, no
 // frame of the old batch may follow the seek, and nothing is booked lost.
 func TestSeekDiscardsHeldBatch(t *testing.T) {
-	eachConn(t, func(t *testing.T, send PacketConn, recv *tap) {
+	eachConn(t, func(t *testing.T, send StreamConn, recv *tap) {
 		const period = 50 * time.Millisecond
 		s, runDone, recvDone := controlled(t, send, recv, int(time.Second/period))
 		recv.awaitData(t, 3)
@@ -179,7 +178,7 @@ func TestSeekDiscardsHeldBatch(t *testing.T) {
 // target with FlagSync, and Stop while paused unwinds Run with the EOS
 // markers at the position reached.
 func TestPauseSeekStopWhilePaused(t *testing.T) {
-	eachConn(t, func(t *testing.T, send PacketConn, recv *tap) {
+	eachConn(t, func(t *testing.T, send StreamConn, recv *tap) {
 		s, runDone, recvDone := controlled(t, send, recv, 500)
 		recv.awaitData(t, 10)
 		s.Pause()
@@ -253,30 +252,5 @@ func TestPacedEmitAllocs(t *testing.T) {
 	run() // warm the wheel's tick goroutine and its due list
 	if allocs := testing.AllocsPerRun(5, run); allocs > 8 {
 		t.Fatalf("paced emit path allocates %.1f per %d-frame run, want <= 8", allocs, len(frames))
-	}
-}
-
-// TestInjectedSleepPacesOffTheWheel: with StreamConfig.Sleep set the same
-// emitter paces on Run's own goroutine. The sleeper is taken at its word, so
-// a fake one runs a 50-frame, 490 ms schedule in no time: every wait is
-// asked of it, nothing is armed on the wheel and no frame counts as late.
-func TestInjectedSleepPacesOffTheWheel(t *testing.T) {
-	frames := make([][]byte, 50)
-	for i := range frames {
-		frames[i] = []byte{byte(i)}
-	}
-	var slept time.Duration
-	s := NewStreamSender(sinkConn{}, StreamConfig{StreamID: 1, FrameRate: 100,
-		Sleep: func(d time.Duration) { slept += d }})
-	armed := timewheel.Default().Stats().Armed
-	st, err := s.Run(moviedb.SliceContent(frames).Open())
-	if err != nil || !st.Done || st.Sent != 50 || st.Late != 0 {
-		t.Fatalf("stats %+v, err %v", st, err)
-	}
-	if slept < 480*time.Millisecond || slept > 490*time.Millisecond {
-		t.Fatalf("asked the sleeper for %v, want the 490 ms schedule", slept)
-	}
-	if n := timewheel.Default().Stats().Armed - armed; n != 0 {
-		t.Fatalf("a stream with an injected sleeper armed the wheel %d times", n)
 	}
 }

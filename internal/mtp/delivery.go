@@ -3,14 +3,15 @@ package mtp
 import "sync/atomic"
 
 // DeliveryStats counts the process-wide activity of the zero-copy delivery
-// path: how often sends used the vectored (copy-free) form, how many
-// batches were coalesced, and how many payload bytes travelled without a
-// user-space copy. The core server exports them as metric families.
+// path: how many packets stream senders handed to conns without copying,
+// how many batches were coalesced, and how many payload bytes travelled
+// without a user-space copy. The core server exports them as metric
+// families.
 type DeliveryStats struct {
-	// VecSends counts packets delivered through SendVec/SendBatch (the
-	// zero-copy path); CopySends counts packets that fell back to
-	// Marshal+Send (conn without vectored support, or a frame source whose
-	// payload lifetime forbids aliasing).
+	// VecSends counts data packets stream senders handed to a conn's
+	// SendBatch as header and payload slices (the zero-copy path);
+	// CopySends counts those of them the UDP conn had to gather into a
+	// buffer because its platform has no sendmmsg.
 	VecSends  int64
 	CopySends int64
 	// Batches counts SendBatch calls that coalesced 2+ frames; BatchFrames
@@ -38,16 +39,4 @@ func Delivery() DeliveryStats {
 		BatchFrames: batchFrames.Load(),
 		VecBytes:    vecBytes.Load(),
 	}
-}
-
-// sendVecFallback delivers hdr+payload on a conn without vectored support
-// by concatenating into buf (reused across calls) and calling Send. It
-// returns the possibly-grown buffer.
-//
-//xmovie:noretain hdr payload
-//xmovie:hotpath
-func sendVecFallback(conn PacketConn, buf, hdr, payload []byte) ([]byte, error) {
-	buf = append(buf[:0], hdr...)
-	buf = append(buf, payload...)
-	return buf, conn.Send(buf)
 }

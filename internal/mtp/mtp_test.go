@@ -83,7 +83,7 @@ func TestMarshalRejectsOversize(t *testing.T) {
 
 // streamOver runs a full send/receive over the given netsim configs and
 // returns both stats plus the delivered frames.
-func streamOver(t *testing.T, frames [][]byte, cfg netsim.Config, scfg SenderConfig, rcfg ReceiverConfig) (SendStats, RecvStats, []Frame) {
+func streamOver(t *testing.T, frames [][]byte, cfg netsim.Config, scfg StreamConfig, rcfg ReceiverConfig) (StreamStats, RecvStats, []Frame) {
 	t.Helper()
 	a, b, link := netsim.NewLink(cfg, netsim.Config{})
 	defer link.Close()
@@ -103,7 +103,7 @@ func streamOver(t *testing.T, frames [][]byte, cfg netsim.Config, scfg SenderCon
 		defer wg.Done()
 		rstats, rerr = ReceiveStream(b, rcfg, deliver)
 	}()
-	sstats, err := SendStream(a, frames, scfg)
+	sstats, err := NewStreamSender(a, scfg).Run(moviedb.SliceContent(frames).Open())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,9 +117,9 @@ func streamOver(t *testing.T, frames [][]byte, cfg netsim.Config, scfg SenderCon
 func TestStreamPerfectPath(t *testing.T) {
 	movie := moviedb.Synthesize(moviedb.SynthConfig{Name: "perfect", Frames: 50, FrameSize: 1000})
 	sstats, rstats, got := streamOver(t, movie.Frames, netsim.Config{},
-		SenderConfig{StreamID: 1}, ReceiverConfig{})
-	if sstats.Packets != 50 {
-		t.Errorf("sent %d packets", sstats.Packets)
+		StreamConfig{StreamID: 1}, ReceiverConfig{})
+	if sstats.Sent != 50 {
+		t.Errorf("sent %d packets", sstats.Sent)
 	}
 	if rstats.Delivered != 50 || rstats.Lost != 0 {
 		t.Errorf("recv stats = %+v", rstats)
@@ -138,7 +138,7 @@ func TestStreamLossyPath(t *testing.T) {
 	movie := moviedb.Synthesize(moviedb.SynthConfig{Name: "lossy", Frames: 400, FrameSize: 200})
 	_, rstats, got := streamOver(t, movie.Frames,
 		netsim.Config{LossProb: 0.1, Seed: 7},
-		SenderConfig{StreamID: 2, EOSRepeats: 10}, ReceiverConfig{})
+		StreamConfig{StreamID: 2, EOSRepeats: 10}, ReceiverConfig{})
 	if rstats.Lost == 0 {
 		t.Error("no loss recorded on a lossy path")
 	}
@@ -165,7 +165,7 @@ func TestStreamJitteredPathReorders(t *testing.T) {
 	movie := moviedb.Synthesize(moviedb.SynthConfig{Name: "jitter", Frames: 200, FrameSize: 100})
 	_, rstats, got := streamOver(t, movie.Frames,
 		netsim.Config{Delay: time.Millisecond, Jitter: 3 * time.Millisecond, Seed: 3},
-		SenderConfig{StreamID: 3, EOSRepeats: 10}, ReceiverConfig{Window: 64})
+		StreamConfig{StreamID: 3, EOSRepeats: 10}, ReceiverConfig{Window: 64})
 	if rstats.Delivered == 0 {
 		t.Fatal("nothing delivered")
 	}
@@ -193,7 +193,7 @@ func TestPacingHoldsFrameRate(t *testing.T) {
 	}()
 	start := time.Now()
 	// 20 frames at 100 fps = at least 190 ms of pacing.
-	sstats, err := SendStream(a, movie.Frames, SenderConfig{FrameRate: 100})
+	sstats, err := NewStreamSender(a, StreamConfig{FrameRate: 100}).Run(moviedb.SliceContent(movie.Frames).Open())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,8 +201,8 @@ func TestPacingHoldsFrameRate(t *testing.T) {
 	if elapsed := time.Since(start); elapsed < 150*time.Millisecond {
 		t.Errorf("20 frames at 100fps took %v, want >= ~190ms", elapsed)
 	}
-	if sstats.Packets != 20 {
-		t.Errorf("sent %d", sstats.Packets)
+	if sstats.Sent != 20 {
+		t.Errorf("sent %d", sstats.Sent)
 	}
 }
 
@@ -229,7 +229,7 @@ func TestStreamOverUDP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if _, err := SendStream(conn, movie.Frames, SenderConfig{StreamID: 9}); err != nil {
+	if _, err := NewStreamSender(conn, StreamConfig{StreamID: 9}).Run(moviedb.SliceContent(movie.Frames).Open()); err != nil {
 		t.Fatal(err)
 	}
 	wg.Wait()

@@ -9,8 +9,8 @@
 // accounting and jitter measurement — but no retransmission: late video is
 // worse than lost video (paper Table 1: "lightweight or none").
 //
-// mtp paces frames and must wait on internal/timewheel (or an injected
-// sleeper), never on runtime timers — see the timerdiscipline analyzer.
+// mtp paces frames and must wait on internal/timewheel, never on runtime
+// timers — see the timerdiscipline analyzer.
 //
 //xmovie:pacing-package
 package mtp
@@ -70,8 +70,8 @@ type Packet struct {
 var ErrBadPacket = errors.New("mtp: malformed packet")
 
 // Marshal appends the wire encoding to dst, copying the payload. The
-// zero-copy alternative is MarshalHeader + a VecConn send, which hands the
-// payload slice to the conn without this copy.
+// zero-copy alternative is MarshalHeader + a StreamConn send, which hands
+// the payload slice to the conn without this copy.
 //
 //xmovie:hotpath
 func (p *Packet) Marshal(dst []byte) ([]byte, error) {
@@ -86,7 +86,7 @@ func (p *Packet) Marshal(dst []byte) ([]byte, error) {
 // MarshalHeader appends only the 20-octet wire header to dst — the
 // zero-copy send form: the header goes into a small caller buffer while the
 // payload slice (typically aliasing a ChunkCache chunk or a live-window
-// ring frame) is passed to SendVec untouched.
+// ring frame) is passed to SendBatch untouched.
 //
 //xmovie:hotpath
 func (p *Packet) MarshalHeader(dst []byte) ([]byte, error) {
@@ -143,58 +143,43 @@ func Unmarshal(data []byte) (*Packet, error) {
 	return p, nil
 }
 
-// PacketConn is the datagram substrate MTP runs over: a netsim endpoint, a
-// UDP socket, or anything message-oriented and unreliable.
+// PacketConn is the datagram substrate a Receiver reads from: a netsim
+// endpoint, a UDP socket, or anything message-oriented and unreliable.
 //
-// Send must not retain p after it returns (senders reuse their marshal
-// buffer; receivers reuse one feedback marshal buffer across reports);
-// Recv's result is only guaranteed valid until the next Recv call on the
-// same conn (receivers may reuse one receive buffer).
+// Send must not retain p after it returns (receivers reuse one feedback
+// marshal buffer across reports); Recv's result is only guaranteed valid
+// until the next Recv call on the same conn (receivers may reuse one
+// receive buffer).
 type PacketConn interface {
 	Send(p []byte) error
 	Recv() ([]byte, error)
 }
 
-// TryRecver is an optional PacketConn extension: a non-blocking receive.
-// The stream sender polls it for receiver feedback between frame sends, so
-// no dedicated reader goroutine is needed. The netsim endpoint and the UDP
-// conns implement it; the result obeys the same lifetime rule as Recv
-// (valid until the next Recv/TryRecv on the conn).
-type TryRecver interface {
-	TryRecv() ([]byte, bool)
-}
+// PacketVec is one packet of a send: the marshalled MTP header and the
+// frame payload (empty for an EOS marker) as separate slices, one datagram
+// on the wire. It aliases an unnamed struct type so that conns in packages
+// mtp's tests import (netsim) can implement StreamConn without importing
+// mtp.
+type PacketVec = struct{ Hdr, Payload []byte }
 
-// VecConn is an optional PacketConn extension: a vectored send delivering
-// hdr followed by payload as ONE datagram without requiring the caller to
-// concatenate them first. It is the zero-copy send path — the payload slice
-// handed in typically aliases a moviedb chunk-cache chunk or live-window
-// ring frame that was never copied since it left storage.
+// StreamConn is the conn a StreamSender transmits over: the netsim endpoint
+// and the connected UDP conn implement it.
 //
-// Aliasing contract (the send-side mirror of the Recv lifetime rule): both
-// slices are valid only for the duration of the call. SendVec must fully
-// consume them — copy to the kernel (writev/sendmsg with two iovecs on the
-// UDP path) or into a buffer the conn owns — before returning, must never
-// write into either slice, and must not retain a reference afterwards. The
-// caller may reuse hdr and the storage layer may recycle the payload's
-// chunk the moment SendVec returns.
-type VecConn interface {
-	SendVec(hdr, payload []byte) error
-}
-
-// PacketVec is one packet of a batched vectored send: the marshalled MTP
-// header and the frame payload as separate slices, each one datagram on the
-// wire.
-type PacketVec struct {
-	Hdr     []byte
-	Payload []byte
-}
-
-// BatchConn is an optional PacketConn extension: transmit several packets
-// with one call — sendmmsg on the Linux UDP path, a plain SendVec loop
-// elsewhere — so steady-state fan-out costs ~1 syscall per coalesced batch
-// instead of one per frame. Packets are delivered in order; every slice
-// obeys the VecConn aliasing contract (consumed before SendBatch returns,
-// never written, never retained).
-type BatchConn interface {
+// SendBatch sends each packet as one datagram, in order, with one call —
+// one sendmmsg(2) on the Linux UDP path — so a coalesced batch costs one
+// syscall, not one per frame. It is the zero-copy send: the payloads
+// typically alias a moviedb chunk-cache chunk or live-window ring frame
+// that was never copied since it left storage. Every slice is valid only
+// for the duration of the call: SendBatch must consume it (hand it to the
+// kernel or copy it into a buffer the conn owns) before returning, must
+// never write into it and must not use it afterwards. The sender reuses its
+// header arena and the storage layer may recycle a chunk the moment
+// SendBatch returns.
+//
+// TryRecv is a non-blocking receive, polled for receiver feedback before
+// each departure so that no reader goroutine is needed. Its result obeys
+// PacketConn's Recv lifetime rule; a conn that cannot tell returns false.
+type StreamConn interface {
 	SendBatch(pkts []PacketVec) error
+	TryRecv() ([]byte, bool)
 }

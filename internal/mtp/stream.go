@@ -8,11 +8,12 @@ import (
 	"sync"
 	"time"
 
+	"xmovie/internal/moviedb"
 	"xmovie/internal/timewheel"
 )
 
-// ErrFrameUnavailable is returned (possibly wrapped) by a FrameSource whose
-// current frame could not be produced in time — a slow or wedged storage
+// ErrFrameUnavailable is returned (possibly wrapped) by a source's Next when
+// the current frame could not be produced in time — a slow or wedged storage
 // read behind a bounded-read wrapper. The source must have consumed the
 // frame's position (Pos advanced past it) before returning it. The sender
 // degrades instead of aborting: the frame is booked as an adaptive drop and
@@ -20,51 +21,11 @@ import (
 // receiver one lost frame, not the stream.
 var ErrFrameUnavailable = errors.New("mtp: frame unavailable")
 
-// FrameSource is the lazy frame iterator the stream sender pulls from — a
-// structural subset of moviedb.FrameSource, so movie-database sources plug
-// in directly without mtp depending on the database layer.
-//
-// Next's result is only valid until the next Next/Seek call (sources
-// recycle chunk buffers); the sender finishes delivering each frame to the
-// conn — which must consume the bytes before Send/SendVec returns — before
-// pulling the next, so the contract composes with PacketConn's.
-type FrameSource interface {
-	// Len returns the total number of frames.
-	Len() int64
-	// Pos returns the index of the frame the next Next call will return.
-	Pos() int64
-	// Next returns the next frame, or io.EOF when exhausted.
-	Next() ([]byte, error)
-	// Seek repositions the source to frame pos.
-	SeekTo(pos int64) error
-}
-
-// BatchSource is an optional FrameSource extension for write batching:
-// NextBatch returns up to max consecutive frames that are available RIGHT
-// NOW from resident memory — the remainder of a loaded chunk, or stored
-// in-memory frames — advancing the position past them. It never blocks,
-// never performs I/O, and never waits at a live edge; when nothing is
-// immediately available it returns an empty batch and the caller falls
-// back to Next for the following frame.
-//
-// Unlike Next, whose result dies at the following call, every returned
-// frame remains valid until the NEXT Next/NextBatch/SeekTo/Close call on
-// the source (they alias one resident chunk, which stays loaded until the
-// cursor moves on). That extended lifetime is what lets the sender hand
-// the whole batch to a BatchConn as one vectored write.
+// BatchSource is moviedb.FrameSource's NextBatch on its own. Nothing in this
+// module uses it: it stays declared only because the benchmark harness
+// (bench/layers.go) asserts a memory source to it by this name.
 type BatchSource interface {
 	NextBatch(max int) [][]byte
-}
-
-// EdgeWaiter is implemented by frame sources whose Next can block waiting
-// at the live edge of a movie that is still being recorded. TakeWaited
-// returns — and resets — the cumulative time Next spent blocked since the
-// previous call. The sender books that time like a pause: it shifts the
-// pacing schedule, so waiting for the producer is never misread as the
-// stream running late (which would trigger adaptive drops of perfectly
-// fresh frames).
-type EdgeWaiter interface {
-	TakeWaited() time.Duration
 }
 
 // Feedback is the receiver→sender report carried in FlagFB packets: the
@@ -74,11 +35,11 @@ type EdgeWaiter interface {
 // frames not to send (XMovie-style rate adaptation: late video is worse
 // than lost video).
 //
-// Buffer lifetime: feedback packets obey the PacketConn contract like any
-// other packet. The receiver marshals reports into one buffer reused
-// across sends (conn.Send must not retain it), and the sender parses them
-// in place out of TryRecv's buffer (valid only until the next receive), so
-// neither side allocates per report.
+// Buffer lifetime: feedback packets obey the conn contracts like any other
+// packet. The receiver marshals reports into one buffer reused across sends
+// (conn.Send must not retain it), and the sender parses them in place out
+// of TryRecv's buffer (valid only until the next receive), so neither side
+// allocates per report.
 type Feedback struct {
 	// NextSeq is the receiver's next expected in-order sequence number —
 	// cumulative progress in sequence space.
@@ -169,9 +130,11 @@ type StreamConfig struct {
 	// frames are never booked as late and never trigger adaptive drops.
 	// Dropped frames reserve nothing.
 	Throttle Throttle
-	// Sleep substitutes the pacing wait (tests): the stream then paces on
-	// Run's own goroutine instead of the shared timer wheel.
-	Sleep func(time.Duration)
+	// End bounds the play (0 = none): no frame at or past End is fetched,
+	// and reaching End ends the stream as the end of the movie does, however
+	// far a recording movie grows. Seeks stay movie-wide; one to End or
+	// beyond ends the stream.
+	End int64
 }
 
 // StreamStats summarizes one stream transmission, including the adaptive
@@ -190,16 +153,18 @@ type StreamStats struct {
 	Feedback int
 	// Pos is the source position reached (next frame index).
 	Pos int64
+	// Paused reports that the stream is paused (or was, when it ended).
+	Paused bool
 	// Done reports normal completion (EOF reached, not stopped/errored).
 	Done    bool
 	Elapsed time.Duration
 }
 
-// StreamSender transmits a FrameSource over MTP with live control: it can
-// be paused, resumed, repositioned and stopped from other goroutines while
-// Run is in flight, and it adapts its delivery to receiver feedback. It is
-// the transmission engine a Stream Provider Agent drives — one sender per
-// stream.
+// StreamSender transmits a moviedb.FrameSource over MTP with live control:
+// it can be paused, resumed, repositioned and stopped from other goroutines
+// while Run is in flight, and it adapts its delivery to receiver feedback.
+// It is the transmission engine a Stream Provider Agent drives — one sender
+// per stream.
 //
 // The work is split in two. The PRODUCER is Run's goroutine: it owns the
 // source and does everything that may block — a chunk load, a wait at the
@@ -212,10 +177,7 @@ type StreamStats struct {
 // the spot, without a hop), and Resume. An unpaced stream never reaches the
 // wheel: its producer emits each batch as it submits it.
 type StreamSender struct {
-	conn   PacketConn
-	tr     TryRecver
-	vc     VecConn
-	bc     BatchConn
+	conn   StreamConn
 	cfg    StreamConfig
 	period time.Duration
 
@@ -241,10 +203,6 @@ type StreamSender struct {
 	epoch  time.Time
 	slot   int64
 	frozen time.Time
-	paused bool
-	// ahead is how far an injected sleeper's word has carried the stream's
-	// clock past the wall clock; zero for a stream paced by the wheel.
-	ahead time.Duration
 	// A throttle grant that imposed a wait: the first reserved frames of the
 	// batch are paid for and leave at capUntil.
 	capUntil time.Time
@@ -266,16 +224,17 @@ type StreamSender struct {
 	fbWindow    uint32 // latest receiver credit grant (0 = none seen)
 	err         error  // first marshal or send failure, at frame errSeq; ends the stream
 	errSeq      int64
-	stats       StreamStats // stats.Pos is the emitter's cursor: the next frame to depart
+	// stats.Pos is the emitter's cursor, the next frame to depart, and
+	// stats.Paused is whether the stream is paused.
+	stats StreamStats
 
-	buf []byte // marshal buffer of the copy fallback and the EOS markers
 	// hdrs holds a batch's marshalled headers; pkts slices into it.
 	hdrs [maxCoalesce * HeaderSize]byte
 	pkts [maxCoalesce]PacketVec
 }
 
 // NewStreamSender prepares a sender; Run performs the transmission.
-func NewStreamSender(conn PacketConn, cfg StreamConfig) *StreamSender {
+func NewStreamSender(conn StreamConn, cfg StreamConfig) *StreamSender {
 	switch {
 	case cfg.EOSRepeats == 0:
 		cfg.EOSRepeats = 3
@@ -283,9 +242,6 @@ func NewStreamSender(conn PacketConn, cfg StreamConfig) *StreamSender {
 		cfg.EOSRepeats = 0
 	}
 	s := &StreamSender{conn: conn, cfg: cfg, stopCh: make(chan struct{}), wake: make(chan struct{}, 1), seekTo: -1}
-	s.tr, _ = conn.(TryRecver)
-	s.vc, _ = conn.(VecConn)
-	s.bc, _ = conn.(BatchConn)
 	if cfg.FrameRate > 0 {
 		s.period = time.Second / time.Duration(cfg.FrameRate)
 	}
@@ -301,10 +257,10 @@ func NewStreamSender(conn PacketConn, cfg StreamConfig) *StreamSender {
 func (s *StreamSender) Pause() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.paused {
-		s.paused = true
+	if !s.stats.Paused {
+		s.stats.Paused = true
 		if s.frozen.IsZero() {
-			s.frozen = s.now()
+			s.frozen = time.Now()
 		}
 	}
 }
@@ -315,13 +271,11 @@ func (s *StreamSender) Pause() {
 func (s *StreamSender) Resume() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.paused {
+	if !s.stats.Paused {
 		return
 	}
-	s.paused = false
-	if s.cfg.Sleep == nil {
-		s.step()
-	}
+	s.stats.Paused = false
+	s.step()
 	s.rouse()
 }
 
@@ -343,7 +297,7 @@ func (s *StreamSender) SeekTo(pos int64) {
 	// A cap wait for discarded frames is void; only a pause keeps the clock
 	// stopped.
 	s.capUntil, s.reserved = time.Time{}, 0
-	if !s.paused {
+	if !s.stats.Paused {
 		s.frozen = time.Time{}
 	}
 	s.syncLeft = syncRepeats
@@ -391,9 +345,6 @@ func (s *StreamSender) stopped() bool {
 	}
 }
 
-// now reads the stream's clock. Caller holds s.mu.
-func (s *StreamSender) now() time.Time { return time.Now().Add(s.ahead) }
-
 // rouse wakes the producer without blocking.
 func (s *StreamSender) rouse() {
 	select {
@@ -407,7 +358,7 @@ func (s *StreamSender) rouse() {
 func (s *StreamSender) drainFeedback() {
 	var p Packet
 	for {
-		data, ok := s.tr.TryRecv()
+		data, ok := s.conn.TryRecv()
 		if !ok {
 			return
 		}
@@ -423,15 +374,13 @@ func (s *StreamSender) drainFeedback() {
 	}
 }
 
-// Run transmits src until EOF, Stop, or a conn error, honouring
-// pause/resume/seek and — when cfg.Window > 0 — receiver credit. It blocks
-// for the stream's duration as the stream's producer; control methods are
-// called from other goroutines. The source is advanced in place; Seq equals
-// source frame index throughout, so StartSeq-style resumption is just
-// opening the source at the right position.
-func (s *StreamSender) Run(src FrameSource) (StreamStats, error) {
-	ew, _ := src.(EdgeWaiter)
-	bs, _ := src.(BatchSource)
+// Run transmits src until its end (or cfg.End), Stop, or a conn error,
+// honouring pause/resume/seek and — when cfg.Window > 0 — receiver credit.
+// It blocks for the stream's duration as the stream's producer; control
+// methods are called from other goroutines. The source is advanced in
+// place; Seq equals source frame index throughout, so StartSeq-style
+// resumption is just opening the source at the right position.
+func (s *StreamSender) Run(src moviedb.FrameSource) (StreamStats, error) {
 	began := time.Now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -458,13 +407,11 @@ func (s *StreamSender) Run(src FrameSource) (StreamStats, error) {
 			}
 			// The schedule starts over at the new position; a pause in force
 			// counts from here.
-			s.epoch, s.slot = s.now(), 0
+			s.epoch, s.slot = time.Now(), 0
 			if !s.frozen.IsZero() {
 				s.frozen = s.epoch
 			}
-		case len(s.batch) > 0 && !s.paused && s.cfg.Sleep != nil:
-			s.step()
-		case len(s.batch) > 0 || s.paused:
+		case len(s.batch) > 0 || s.stats.Paused:
 			// Nothing to fetch: the emitter still holds frames, or the clock
 			// stands still and a fetch would only be held (and a wait at the
 			// live edge credited on top of the pause).
@@ -476,20 +423,8 @@ func (s *StreamSender) Run(src FrameSource) (StreamStats, error) {
 			s.mu.Lock()
 		default:
 			s.mu.Unlock()
-			var batch [][]byte
-			if bs != nil {
-				batch = bs.NextBatch(maxCoalesce)
-			}
-			var err error
-			if len(batch) == 0 {
-				if s.one[0], err = src.Next(); err == nil {
-					batch = s.one[:]
-				}
-			}
-			var waited time.Duration
-			if ew != nil {
-				waited = ew.TakeWaited()
-			}
+			batch, err := s.fetch(src)
+			waited := src.TakeWaited()
 			s.mu.Lock()
 			if s.seekTo >= 0 || s.stopped() {
 				// A seek or a stop overtook the fetch; what it returned —
@@ -503,7 +438,7 @@ func (s *StreamSender) Run(src FrameSource) (StreamStats, error) {
 				// counts from here, not twice.
 				s.epoch = s.epoch.Add(waited)
 				if !s.frozen.IsZero() {
-					s.frozen = s.now()
+					s.frozen = time.Now()
 				}
 			}
 			switch {
@@ -524,6 +459,27 @@ func (s *StreamSender) Run(src FrameSource) (StreamStats, error) {
 	}
 }
 
+// fetch reads the next frames below cfg.End: every resident one up to
+// maxCoalesce, else a single Next, which may block. It returns io.EOF at
+// End. Called by the producer without s.mu.
+func (s *StreamSender) fetch(src moviedb.FrameSource) ([][]byte, error) {
+	n := int64(maxCoalesce)
+	if s.cfg.End > 0 {
+		if n = min(n, s.cfg.End-src.Pos()); n <= 0 {
+			return nil, io.EOF
+		}
+	}
+	if batch := src.NextBatch(int(n)); len(batch) > 0 {
+		return batch, nil
+	}
+	f, err := src.Next()
+	if err != nil {
+		return nil, err
+	}
+	s.one[0] = f
+	return s.one[:], nil
+}
+
 // finish terminates the stream on the wire even when aborted, so the
 // receiver does not wait for frames that will never come. A not-yet-
 // announced discontinuity (a seek straight to EOF sends no further data
@@ -534,19 +490,17 @@ func (s *StreamSender) finish(began time.Time, err error) (StreamStats, error) {
 	// nothing to send, and the wheel keeps no reference to the stream.
 	s.batch, s.capUntil = nil, time.Time{}
 	timewheel.Default().Cancel(&s.task)
-	flags := FlagEOS
+	eos := Packet{StreamID: s.cfg.StreamID, Seq: uint32(s.stats.Pos), Flags: FlagEOS}
 	if s.syncLeft > 0 {
-		flags |= FlagSync
+		eos.Flags |= FlagSync
 	}
+	s.pkts[0].Hdr, s.pkts[0].Payload = eos.appendHeader(s.hdrs[:0]), nil
 	for i := 0; i < s.cfg.EOSRepeats; i++ {
-		p := Packet{StreamID: s.cfg.StreamID, Seq: uint32(s.stats.Pos), Flags: flags}
-		var merr error
-		s.buf, merr = p.Marshal(s.buf[:0])
-		if merr == nil {
-			if serr := s.conn.Send(s.buf); serr != nil && err == nil {
+		if serr := s.conn.SendBatch(s.pkts[:1]); serr != nil {
+			if err == nil {
 				err = fmt.Errorf("mtp: send EOS: %w", serr)
-				break
 			}
+			break
 		}
 	}
 	s.stats.Elapsed = time.Since(began)
@@ -561,21 +515,10 @@ func (s *StreamSender) tick() {
 	s.mu.Unlock()
 }
 
-// step runs the emitter and sees to its next run: the wheel calls back at
-// the next departure. An injected sleeper paces on the producer's own
-// goroutine instead and is taken at its word: whatever the wall clock says,
-// the stream's clock reads next when it returns. Caller holds s.mu.
+// step runs the emitter and has the wheel call back at the next departure.
+// Caller holds s.mu.
 func (s *StreamSender) step() {
-	now := s.now()
-	next := s.emit(now)
-	for ; !next.IsZero() && s.cfg.Sleep != nil; next = s.emit(now) {
-		s.mu.Unlock()
-		s.cfg.Sleep(next.Sub(now))
-		s.mu.Lock()
-		s.ahead += next.Sub(s.now())
-		now = next
-	}
-	if !next.IsZero() {
+	if next := s.emit(time.Now()); !next.IsZero() {
 		timewheel.Default().At(next, &s.task)
 	}
 }
@@ -586,7 +529,7 @@ func (s *StreamSender) step() {
 //
 //xmovie:hotpath
 func (s *StreamSender) emit(now time.Time) time.Time {
-	if s.paused || s.err != nil {
+	if s.stats.Paused || s.err != nil {
 		return time.Time{}
 	}
 	if now.Before(s.capUntil) {
@@ -607,9 +550,7 @@ func (s *StreamSender) emit(now time.Time) time.Time {
 			}
 			overdue = now.Sub(due)
 		}
-		if s.tr != nil {
-			s.drainFeedback()
-		}
+		s.drainFeedback()
 		n := s.reserved
 		s.reserved = 0
 		if n == 0 {
@@ -694,10 +635,10 @@ func (s *StreamSender) credit() int {
 }
 
 // send transmits the first n held frames, the first of them overdue by
-// overdue, and advances the cursor past them; false means the stream has
-// failed. One header per frame goes into the arena, payloads stay untouched
-// (they alias the source's resident chunk — the conn must consume them
-// before returning). Caller holds s.mu.
+// overdue, in one SendBatch and advances the cursor past them; false means
+// the stream has failed. One header per frame goes into the arena, payloads
+// stay untouched (they alias the source's resident chunk — the conn must
+// consume them before returning). Caller holds s.mu.
 //
 //xmovie:hotpath
 func (s *StreamSender) send(n int, overdue time.Duration) bool {
@@ -730,42 +671,15 @@ func (s *StreamSender) send(n int, overdue time.Duration) bool {
 		pkts = append(pkts, PacketVec{Hdr: hdrs[at:], Payload: f})
 		total += int64(len(f))
 	}
-
-	// Deliver: one sendmmsg-style call for a coalesced batch, a vectored
-	// send per packet otherwise, and the marshal-copy fallback for conns
-	// without vector support.
-	switch {
-	case s.bc != nil && n > 1:
-		if err := s.bc.SendBatch(pkts); err != nil {
-			return s.fail(pos, err)
-		}
+	if err := s.conn.SendBatch(pkts); err != nil {
+		return s.fail(pos, err)
+	}
+	if n > 1 {
 		batchSends.Add(1)
 		batchFrames.Add(int64(n))
-		vecSends.Add(int64(n))
-		vecBytes.Add(total)
-	case s.vc != nil:
-		for j, pk := range pkts {
-			if err := s.vc.SendVec(pk.Hdr, pk.Payload); err != nil {
-				return s.fail(pos+int64(j), err)
-			}
-		}
-		if n > 1 {
-			// Still one coalesced group, delivered as n vectored calls
-			// because the conn lacks a true batch entry point.
-			batchSends.Add(1)
-			batchFrames.Add(int64(n))
-		}
-		vecSends.Add(int64(n))
-		vecBytes.Add(total)
-	default:
-		for j, pk := range pkts {
-			var err error
-			if s.buf, err = sendVecFallback(s.conn, s.buf, pk.Hdr, pk.Payload); err != nil {
-				return s.fail(pos+int64(j), err)
-			}
-		}
-		copySends.Add(int64(n))
 	}
+	vecSends.Add(int64(n))
+	vecBytes.Add(total)
 	if s.cfg.Window > 0 {
 		for j := 0; j < n; j++ {
 			s.inflight = append(s.inflight, uint32(pos+int64(j)))

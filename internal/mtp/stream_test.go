@@ -389,10 +389,7 @@ func TestLiveTailSendAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := m.Open().(interface {
-		FrameSource
-		Close() error
-	})
+	src := m.Open()
 	defer src.Close()
 	run := func() {
 		if err := src.SeekTo(0); err != nil {
@@ -455,7 +452,7 @@ func TestFeedbackOverUDP(t *testing.T) {
 // frame follows the jump, so the sync rides on the EOS markers and the
 // receiver must not book the skipped tail as loss.
 func TestSeekToEOFEndsCleanly(t *testing.T) {
-	eachConn(t, func(t *testing.T, send PacketConn, recv *tap) {
+	eachConn(t, func(t *testing.T, send StreamConn, recv *tap) {
 		s, runDone, recvDone := controlled(t, send, recv, 500)
 		recv.awaitData(t, 5)
 		s.SeekTo(4000)
@@ -536,7 +533,7 @@ func TestStreamSenderThrottleShiftsSchedule(t *testing.T) {
 // unavailableEvery wraps a source, consuming every k-th frame as
 // ErrFrameUnavailable (the bounded-read degradation path).
 type unavailableEvery struct {
-	FrameSource
+	moviedb.FrameSource
 	k int
 }
 

@@ -2,28 +2,39 @@
 
 package mtp
 
-import (
-	"net"
-	"syscall"
-)
+import "syscall"
 
-// tryRecvUDP performs one non-blocking datagram read on a UDP socket: the
-// kernel is asked with MSG_DONTWAIT, so an empty socket buffer returns
-// immediately instead of blocking (a read deadline cannot do this — an
-// already-expired deadline fails the read even when data is queued).
-func tryRecvUDP(c *net.UDPConn, buf []byte) (int, bool) {
-	rc, err := c.SyscallConn()
-	if err != nil {
-		return 0, false
+// udpRx holds TryRecv's bound poller callback and its result.
+type udpRx struct {
+	read func(fd uintptr) bool
+	n    int
+}
+
+func (u *UDPConn) initRx() { u.rx.read = u.readNow }
+
+// TryRecv implements StreamConn: one datagram read that never waits, so a
+// stream sender polls for receiver feedback without a reader goroutine.
+// The result aliases the conn's receive buffer.
+//
+//xmovie:hotpath
+func (u *UDPConn) TryRecv() ([]byte, bool) {
+	u.rx.n = 0
+	if err := u.rc.Read(u.rx.read); err != nil || u.rx.n <= 0 {
+		return nil, false
 	}
-	n, ok := 0, false
-	rerr := rc.Read(func(fd uintptr) bool {
-		var err error
-		n, _, err = syscall.Recvfrom(int(fd), buf, syscall.MSG_DONTWAIT)
-		ok = err == nil && n > 0
-		// One attempt only: returning true tells the runtime we are done
-		// whether or not data was available.
-		return true
-	})
-	return n, ok && rerr == nil
+	return u.buf[:u.rx.n], true
+}
+
+// readNow is the poller's read callback. The runtime keeps every socket in
+// non-blocking mode, so on an empty socket read(2) fails with EAGAIN at
+// once; returning true tells the poller not to wait for data either way.
+// (A read deadline cannot do this: an expired one fails the read even when
+// a datagram is queued.)
+func (u *UDPConn) readNow(fd uintptr) bool {
+	n, err := syscall.Read(int(fd), u.buf)
+	if err != nil {
+		n = 0
+	}
+	u.rx.n = n
+	return true
 }

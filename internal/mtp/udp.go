@@ -3,29 +3,41 @@ package mtp
 import (
 	"fmt"
 	"net"
+	"syscall"
 )
 
-// UDPConn adapts a connected UDP socket to PacketConn, the configuration
-// the paper uses for MTP ("we run the XMovie transmission protocol MTP
-// directly on top of UDP, IP and FDDI", §3). It also implements VecConn
-// and BatchConn: on Linux a vectored send is writev with two iovecs (one
-// datagram) and a batch is one sendmmsg(2) call; elsewhere both degrade to
-// the copying fallback.
+// UDPConn adapts a connected UDP socket to PacketConn and StreamConn, the
+// configuration the paper uses for MTP ("we run the XMovie transmission
+// protocol MTP directly on top of UDP, IP and FDDI", §3). On Linux
+// (amd64/arm64) SendBatch is one sendmmsg(2) call per batch; elsewhere it
+// gathers each packet into a buffer and writes it. A UDPConn is not safe
+// for concurrent use: one stream sender owns it.
+//
+// The raw socket, the syscall arrays and the callbacks the runtime's poller
+// calls back into are built once, in NewUDPConn, so that neither SendBatch
+// nor TryRecv allocates per call.
 type UDPConn struct {
-	c    *net.UDPConn
-	buf  []byte
-	sbuf []byte // scratch for the non-vectored SendVec fallback
+	c   *net.UDPConn
+	rc  syscall.RawConn
+	buf []byte
+	tx  udpTx // the platform's SendBatch state
+	rx  udpRx // the platform's TryRecv state
 }
 
 var (
 	_ PacketConn = (*UDPConn)(nil)
-	_ VecConn    = (*UDPConn)(nil)
-	_ BatchConn  = (*UDPConn)(nil)
+	_ StreamConn = (*UDPConn)(nil)
 )
 
 // NewUDPConn wraps an already connected UDP socket.
 func NewUDPConn(c *net.UDPConn) *UDPConn {
-	return &UDPConn{c: c, buf: make([]byte, HeaderSize+MaxPayload)}
+	// SyscallConn fails only on a nil or closed socket, on which every
+	// later call fails anyway.
+	rc, _ := c.SyscallConn()
+	u := &UDPConn{c: c, rc: rc, buf: make([]byte, HeaderSize+MaxPayload)}
+	u.initTx()
+	u.initRx()
+	return u
 }
 
 // DialUDP opens a connected UDP socket to addr.
@@ -63,36 +75,6 @@ func (u *UDPConn) Send(p []byte) error {
 	return err
 }
 
-// SendVec implements VecConn: hdr+payload leave as one datagram, gathered
-// by the kernel (two iovecs) on Linux so neither slice is copied in user
-// space. Both slices are fully consumed before the call returns.
-//
-//xmovie:noretain hdr payload
-func (u *UDPConn) SendVec(hdr, payload []byte) error {
-	if ok, err := sendVecUDP(u.c, hdr, payload); ok {
-		return err
-	}
-	var err error
-	u.sbuf, err = sendVecFallback(u, u.sbuf, hdr, payload)
-	return err
-}
-
-// SendBatch implements BatchConn: one sendmmsg(2) call transmits the whole
-// batch on Linux; elsewhere each packet is sent individually.
-//
-//xmovie:noretain pkts
-func (u *UDPConn) SendBatch(pkts []PacketVec) error {
-	if ok, err := sendBatchUDP(u.c, pkts); ok {
-		return err
-	}
-	for _, p := range pkts {
-		if err := u.SendVec(p.Hdr, p.Payload); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Recv implements PacketConn. The result aliases the conn's receive buffer
 // and is valid until the next Recv.
 func (u *UDPConn) Recv() ([]byte, error) {
@@ -103,19 +85,6 @@ func (u *UDPConn) Recv() ([]byte, error) {
 	return u.buf[:n], nil
 }
 
-// TryRecv implements TryRecver: a genuinely non-blocking datagram read
-// (MSG_DONTWAIT on unix; always empty elsewhere, which just disables
-// feedback-driven adaptation), so stream senders can poll for receiver
-// feedback between frames without a reader goroutine. The result aliases
-// the conn's receive buffer.
-func (u *UDPConn) TryRecv() ([]byte, bool) {
-	n, ok := tryRecvUDP(u.c, u.buf)
-	if !ok || n == 0 {
-		return nil, false
-	}
-	return u.buf[:n], true
-}
-
 // Close releases the socket.
 func (u *UDPConn) Close() error { return u.c.Close() }
 
@@ -124,14 +93,10 @@ func (u *UDPConn) Close() error { return u.c.Close() }
 type UDPListener struct {
 	c    *net.UDPConn
 	buf  []byte
-	sbuf []byte
 	peer *net.UDPAddr
 }
 
-var (
-	_ PacketConn = (*UDPListener)(nil)
-	_ VecConn    = (*UDPListener)(nil)
-)
+var _ PacketConn = (*UDPListener)(nil)
 
 // Addr returns the bound address.
 func (u *UDPListener) Addr() string { return u.c.LocalAddr().String() }
@@ -155,22 +120,6 @@ func (u *UDPListener) Send(p []byte) error {
 		return fmt.Errorf("mtp: no peer learned yet")
 	}
 	_, err := u.c.WriteToUDP(p, u.peer)
-	return err
-}
-
-// SendVec implements VecConn toward the learned peer. An unconnected
-// socket needs the destination per message, so the slices are gathered
-// into a conn-owned scratch buffer (consumed before return, per the
-// contract) rather than handed to the kernel as iovecs; the listener is
-// the low-rate feedback direction, not the media fan-out path.
-//
-//xmovie:noretain hdr payload
-func (u *UDPListener) SendVec(hdr, payload []byte) error {
-	if u.peer == nil {
-		return fmt.Errorf("mtp: no peer learned yet")
-	}
-	var err error
-	u.sbuf, err = sendVecFallback(u, u.sbuf, hdr, payload)
 	return err
 }
 

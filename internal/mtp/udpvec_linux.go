@@ -3,50 +3,9 @@
 package mtp
 
 import (
-	"net"
 	"syscall"
 	"unsafe"
 )
-
-// sendVecUDP delivers hdr+payload as one datagram on a connected UDP
-// socket without concatenating them in user space: writev with two iovecs
-// on a connected SOCK_DGRAM socket emits exactly one datagram (the kernel
-// gathers the vector into a single message). Reports false when the
-// vectored path is unusable and the caller must fall back to a copy.
-func sendVecUDP(c *net.UDPConn, hdr, payload []byte) (bool, error) {
-	rc, err := c.SyscallConn()
-	if err != nil {
-		return false, nil
-	}
-	var serr syscall.Errno
-	werr := rc.Write(func(fd uintptr) bool {
-		iov := [2]syscall.Iovec{vecOf(hdr), vecOf(payload)}
-		n := 2
-		if len(payload) == 0 {
-			n = 1
-		}
-		for {
-			_, _, errno := syscall.Syscall(syscall.SYS_WRITEV, fd, uintptr(unsafe.Pointer(&iov[0])), uintptr(n))
-			if errno == syscall.EINTR {
-				continue
-			}
-			if errno == syscall.EAGAIN {
-				// Socket buffer full: let the runtime poller wait for
-				// writability, then retry the closure.
-				return false
-			}
-			serr = errno
-			return true
-		}
-	})
-	if werr != nil {
-		return false, werr
-	}
-	if serr != 0 {
-		return true, serr
-	}
-	return true, nil
-}
 
 // mmsghdr mirrors struct mmsghdr for sendmmsg(2).
 type mmsghdr struct {
@@ -56,71 +15,82 @@ type mmsghdr struct {
 }
 
 // maxMmsg bounds one sendmmsg call; the stream sender's coalescing window
-// is smaller, so this only guards foreign callers.
+// is smaller, so a larger batch only comes from other callers.
 const maxMmsg = 64
 
-// sendBatchUDP transmits each PacketVec as one datagram using a single
-// sendmmsg(2) call (retrying for packets the kernel did not take in one
-// go). Reports false when the batched path is unusable.
-func sendBatchUDP(c *net.UDPConn, pkts []PacketVec) (bool, error) {
-	if len(pkts) > maxMmsg {
-		for len(pkts) > 0 {
-			n := len(pkts)
-			if n > maxMmsg {
-				n = maxMmsg
-			}
-			if ok, err := sendBatchUDP(c, pkts[:n]); !ok || err != nil {
-				return ok, err
-			}
-			pkts = pkts[n:]
-		}
-		return true, nil
-	}
-	rc, err := c.SyscallConn()
-	if err != nil {
-		return false, nil
-	}
-	var iovs [2 * maxMmsg]syscall.Iovec
-	var msgs [maxMmsg]mmsghdr
-	for i, p := range pkts {
-		iovs[2*i] = vecOf(p.Hdr)
-		iovs[2*i+1] = vecOf(p.Payload)
-		n := uint64(2)
-		if len(p.Payload) == 0 {
-			n = 1
-		}
-		msgs[i].hdr.Iov = &iovs[2*i]
-		msgs[i].hdr.Iovlen = n
-	}
-	sent := 0
-	var serr syscall.Errno
-	werr := rc.Write(func(fd uintptr) bool {
-		for sent < len(pkts) {
-			r, _, errno := syscall.Syscall6(sysSENDMMSG, fd,
-				uintptr(unsafe.Pointer(&msgs[sent])), uintptr(len(pkts)-sent), 0, 0, 0)
-			switch {
-			case errno == syscall.EINTR:
-				continue
-			case errno == syscall.EAGAIN:
-				return false // wait for writability, retry the remainder
-			case errno != 0:
-				serr = errno
-				return true
-			}
-			sent += int(r)
-		}
-		return true
-	})
-	if werr != nil {
-		return false, werr
-	}
-	if serr != 0 {
-		return true, serr
-	}
-	return true, nil
+// udpTx is one sendmmsg call in the making: message i gathers iovs[2i]
+// (header) and iovs[2i+1] (payload). write is the bound poller callback; n,
+// sent and errno are its arguments and results.
+type udpTx struct {
+	msgs  [maxMmsg]mmsghdr
+	iovs  [2 * maxMmsg]syscall.Iovec
+	write func(fd uintptr) bool
+	n     int
+	sent  int
+	errno syscall.Errno
 }
 
-func vecOf(b []byte) syscall.Iovec {
+func (u *UDPConn) initTx() {
+	for i := range u.tx.msgs {
+		u.tx.msgs[i].hdr.Iov = &u.tx.iovs[2*i]
+	}
+	u.tx.write = u.sendmmsg
+}
+
+// SendBatch implements StreamConn: each packet leaves as one datagram,
+// gathered by the kernel from its header and payload slices, and the batch
+// takes one sendmmsg(2) call per maxMmsg packets. Every slice is consumed
+// before the call returns.
+//
+//xmovie:noretain pkts
+//xmovie:hotpath
+func (u *UDPConn) SendBatch(pkts []PacketVec) error {
+	for len(pkts) > 0 {
+		n := min(len(pkts), maxMmsg)
+		for i, p := range pkts[:n] {
+			u.tx.iovs[2*i] = iovec(p.Hdr)
+			u.tx.iovs[2*i+1] = iovec(p.Payload)
+			u.tx.msgs[i].hdr.Iovlen = 2
+			if len(p.Payload) == 0 {
+				u.tx.msgs[i].hdr.Iovlen = 1
+			}
+		}
+		u.tx.n, u.tx.sent, u.tx.errno = n, 0, 0
+		if err := u.rc.Write(u.tx.write); err != nil {
+			return err
+		}
+		if u.tx.errno != 0 {
+			return u.tx.errno
+		}
+		pkts = pkts[n:]
+	}
+	return nil
+}
+
+// sendmmsg is the poller's write callback: it sends what is left of the
+// batch, retrying on EINTR and for messages the kernel did not take in one
+// go. On EAGAIN it returns false, and the poller calls again once the
+// socket is writable.
+func (u *UDPConn) sendmmsg(fd uintptr) bool {
+	t := &u.tx
+	for t.sent < t.n {
+		r, _, errno := syscall.Syscall6(sysSENDMMSG, fd,
+			uintptr(unsafe.Pointer(&t.msgs[t.sent])), uintptr(t.n-t.sent), 0, 0, 0)
+		switch errno {
+		case 0:
+			t.sent += int(r)
+		case syscall.EINTR:
+		case syscall.EAGAIN:
+			return false
+		default:
+			t.errno = errno
+			return true
+		}
+	}
+	return true
+}
+
+func iovec(b []byte) syscall.Iovec {
 	var v syscall.Iovec
 	if len(b) > 0 {
 		v.Base = &b[0]

@@ -2,7 +2,7 @@ package mtp
 
 import (
 	"bytes"
-	"io"
+	"slices"
 	"testing"
 	"time"
 
@@ -10,62 +10,34 @@ import (
 	"xmovie/internal/netsim"
 )
 
-// countingConn counts conn entry points and copies every delivered
-// datagram, so tests can assert both the syscall shape (calls per batch)
-// and the delivered bytes.
+// countingConn records the packet count of every SendBatch call and copies
+// every delivered datagram, so tests can assert both the syscall shape
+// (calls per batch) and the delivered bytes.
 type countingConn struct {
-	sends      int // plain Send calls
-	vecSends   int // SendVec calls
-	batchCalls int // SendBatch calls
-	delivered  [][]byte
-}
-
-func (c *countingConn) deliver(hdr, payload []byte) {
-	buf := make([]byte, 0, len(hdr)+len(payload))
-	buf = append(buf, hdr...)
-	buf = append(buf, payload...)
-	c.delivered = append(c.delivered, buf)
-}
-
-func (c *countingConn) Send(p []byte) error {
-	c.sends++
-	c.deliver(p, nil)
-	return nil
-}
-
-func (c *countingConn) Recv() ([]byte, error) { panic("countingConn.Recv") }
-
-func (c *countingConn) SendVec(hdr, payload []byte) error {
-	c.vecSends++
-	c.deliver(hdr, payload)
-	return nil
+	batches   []int // packets per SendBatch call
+	delivered [][]byte
 }
 
 func (c *countingConn) SendBatch(pkts []PacketVec) error {
-	c.batchCalls++
+	c.batches = append(c.batches, len(pkts))
 	for _, p := range pkts {
-		c.deliver(p.Hdr, p.Payload)
+		buf := make([]byte, 0, len(p.Hdr)+len(p.Payload))
+		buf = append(buf, p.Hdr...)
+		buf = append(buf, p.Payload...)
+		c.delivered = append(c.delivered, buf)
 	}
 	return nil
 }
 
-// vecOnlyConn is a countingConn without the batch entry point, to exercise
-// the SendVec-loop fallback.
-type vecOnlyConn struct{ countingConn }
+func (c *countingConn) TryRecv() ([]byte, bool) { return nil, false }
 
-func (c *vecOnlyConn) SendBatch([]PacketVec) error { panic("unexpected SendBatch") }
-
-var (
-	_ VecConn   = (*countingConn)(nil)
-	_ BatchConn = (*countingConn)(nil)
-)
-
-// TestSendVecConsumesBeforeReturn pins the SendVec aliasing contract on
-// the real conns: the slices are consumed before the call returns, so a
-// caller scribbling both buffers immediately afterwards — exactly what a
-// sender reusing its header arena and a storage layer recycling a chunk
-// do — cannot corrupt the datagram already on the wire. It also verifies
-// the conn never writes into the payload (which on the real stack is an
+// TestSendVecConsumesBeforeReturn pins the aliasing contract of the
+// vectored send, StreamConn.SendBatch, on the real conns: header and
+// payload slices are consumed before the call returns, so a caller
+// scribbling both buffers immediately afterwards — exactly what a sender
+// reusing its header arena and a storage layer recycling a chunk do —
+// cannot corrupt the datagram already on the wire. It also verifies the
+// conn never writes into the payload (which on the real stack is an
 // immutable cache chunk).
 func TestSendVecConsumesBeforeReturn(t *testing.T) {
 	mk := func() ([]byte, []byte) {
@@ -76,10 +48,10 @@ func TestSendVecConsumesBeforeReturn(t *testing.T) {
 		}
 		return hdr, payload
 	}
-	check := func(t *testing.T, send func(hdr, payload []byte) error, recv func() ([]byte, error)) {
+	check := func(t *testing.T, conn StreamConn, recv func() ([]byte, error)) {
 		hdr, payload := mk()
 		want := append(append([]byte(nil), hdr...), payload...)
-		if err := send(hdr, payload); err != nil {
+		if err := conn.SendBatch([]PacketVec{{Hdr: hdr, Payload: payload}}); err != nil {
 			t.Fatal(err)
 		}
 		for i := range payload {
@@ -87,7 +59,7 @@ func TestSendVecConsumesBeforeReturn(t *testing.T) {
 				t.Fatal("conn wrote into the payload (would corrupt the cache chunk)")
 			}
 		}
-		// Scribble both buffers the instant SendVec returns.
+		// Scribble both buffers the instant SendBatch returns.
 		for i := range hdr {
 			hdr[i] = 0xFF
 		}
@@ -106,7 +78,7 @@ func TestSendVecConsumesBeforeReturn(t *testing.T) {
 	t.Run("netsim", func(t *testing.T) {
 		a, b, link := netsim.NewPerfectLink()
 		defer link.Close()
-		check(t, a.SendVec, b.Recv)
+		check(t, a, b.Recv)
 	})
 	t.Run("udp", func(t *testing.T) {
 		lis, err := ListenUDP("127.0.0.1:0")
@@ -119,7 +91,7 @@ func TestSendVecConsumesBeforeReturn(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer conn.Close()
-		check(t, conn.SendVec, lis.Recv)
+		check(t, conn, lis.Recv)
 	})
 	t.Run("udp-batch", func(t *testing.T) {
 		lis, err := ListenUDP("127.0.0.1:0")
@@ -163,6 +135,81 @@ func TestSendVecConsumesBeforeReturn(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestUDPConnAllocs guards the UDP conn's per-call cost, paid once per
+// emit step (TryRecv) and once per departure (SendBatch): neither may
+// allocate, whether the batch holds one packet or a full coalescing window
+// and whether a datagram is waiting or not.
+func TestUDPConnAllocs(t *testing.T) {
+	lis, err := ListenUDP("127.0.0.1:0")
+	if err != nil {
+		t.Skip("no loopback UDP:", err)
+	}
+	defer lis.Close()
+	conn, err := DialUDP(lis.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	hdr, err := (&Packet{StreamID: 1, Payload: make([]byte, 64)}).MarshalHeader(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkts := make([]PacketVec, maxCoalesce)
+	for i := range pkts {
+		pkts[i] = PacketVec{Hdr: hdr, Payload: make([]byte, 64)}
+	}
+	send := func(n int) func() {
+		return func() {
+			if err := conn.SendBatch(pkts[:n]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, n := range []int{1, maxCoalesce} {
+		if allocs := testing.AllocsPerRun(100, send(n)); allocs != 0 {
+			t.Errorf("SendBatch of %d packets allocates %.1f times, want 0", n, allocs)
+		}
+	}
+
+	// The listener learns the conn as its peer from the first datagram it
+	// reads. Nothing has been sent to the conn yet: its socket is empty.
+	if _, err := lis.Recv(); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, ok := conn.TryRecv(); ok {
+			t.Fatal("TryRecv read a datagram nobody sent")
+		}
+	}); allocs != 0 {
+		t.Errorf("TryRecv on an empty socket allocates %.1f times, want 0", allocs)
+	}
+	const runs = 100
+	fb := append([]byte(nil), hdr...)
+	for i := 0; i < runs+1; i++ { // AllocsPerRun adds one warm-up call
+		if err := lis.Send(fb); err != nil {
+			t.Fatal(err)
+		}
+	}
+	missed := 0
+	if allocs := testing.AllocsPerRun(runs, func() {
+		// A datagram is queued or about to be: poll until it is read.
+		for spins := 0; ; spins++ {
+			if _, ok := conn.TryRecv(); ok {
+				return
+			}
+			if spins == 1e6 {
+				missed++
+				return
+			}
+		}
+	}); allocs != 0 {
+		t.Errorf("TryRecv of a waiting datagram allocates %.1f times, want 0", allocs)
+	}
+	if missed > 0 {
+		t.Fatalf("%d of %d loopback datagrams never arrived", missed, runs+1)
+	}
 }
 
 // TestZeroCopySendCachePristine streams a disk movie — whose frame slices
@@ -218,9 +265,7 @@ func TestZeroCopySendCachePristine(t *testing.T) {
 	if err != nil || st.Sent != frames {
 		t.Fatalf("run: sent %d, err %v", st.Sent, err)
 	}
-	if c, ok := src.(io.Closer); ok {
-		c.Close()
-	}
+	src.Close()
 	select {
 	case err := <-recvDone:
 		if err != nil {
@@ -249,15 +294,13 @@ func TestZeroCopySendCachePristine(t *testing.T) {
 			t.Fatalf("cache chunk corrupted at frame %d after zero-copy sends", i)
 		}
 	}
-	if c, ok := src2.(io.Closer); ok {
-		c.Close()
-	}
+	src2.Close()
 }
 
 // TestBatchedSendSyscalls pins the write-coalescing shape: an unpaced
-// stream over a batch-capable conn must cost one SendBatch call per
-// maxCoalesce frames — the "≤1 write syscall per coalesced batch"
-// acceptance bound — with plain Send used only for the EOS markers.
+// stream must cost one SendBatch call per maxCoalesce frames — the "≤1
+// write syscall per coalesced batch" acceptance bound — followed by one
+// call per EOS marker, each a lone header.
 func TestBatchedSendSyscalls(t *testing.T) {
 	frames := make([][]byte, 64)
 	for i := range frames {
@@ -269,18 +312,17 @@ func TestBatchedSendSyscalls(t *testing.T) {
 	if err != nil || st.Sent != 64 {
 		t.Fatalf("sent %d, err %v", st.Sent, err)
 	}
-	wantBatches := (64 + maxCoalesce - 1) / maxCoalesce
-	if conn.batchCalls != wantBatches {
-		t.Fatalf("64 unpaced frames cost %d SendBatch calls, want %d", conn.batchCalls, wantBatches)
-	}
-	if conn.vecSends != 0 {
-		t.Fatalf("unexpected %d per-frame SendVec calls alongside batching", conn.vecSends)
-	}
-	if conn.sends != 3 {
-		t.Fatalf("plain Send calls = %d, want 3 (EOS markers only)", conn.sends)
+	if want := []int{maxCoalesce, maxCoalesce, 1, 1, 1}; !slices.Equal(conn.batches, want) {
+		t.Fatalf("64 unpaced frames and 3 EOS markers cost SendBatch calls of %v packets, want %v", conn.batches, want)
 	}
 	if len(conn.delivered) != 64+3 {
 		t.Fatalf("delivered %d datagrams", len(conn.delivered))
+	}
+	for _, eos := range conn.delivered[64:] {
+		var p Packet
+		if err := p.Unmarshal(eos); err != nil || p.Flags&FlagEOS == 0 || p.Seq != 64 || len(p.Payload) != 0 {
+			t.Fatalf("EOS marker %x: %+v, %v", eos, p, err)
+		}
 	}
 	// Spot-check wire integrity of a batched frame.
 	var p Packet
@@ -289,22 +331,6 @@ func TestBatchedSendSyscalls(t *testing.T) {
 	}
 	if p.Seq != 40 || !bytes.Equal(p.Payload, frames[40]) {
 		t.Fatalf("batched frame 40 mangled: seq %d", p.Seq)
-	}
-
-	// Without a batch entry point the same stream degrades to one
-	// vectored call per frame — still zero-copy, never a regression to
-	// the marshal path.
-	src2 := moviedb.SliceContent(frames).Open()
-	vconn := &vecOnlyConn{}
-	st, err = NewStreamSender(&struct {
-		PacketConn
-		VecConn
-	}{vconn, vconn}, StreamConfig{StreamID: 1}).Run(src2)
-	if err != nil || st.Sent != 64 {
-		t.Fatalf("sent %d, err %v", st.Sent, err)
-	}
-	if vconn.vecSends != 64 {
-		t.Fatalf("vec-only conn saw %d SendVec calls, want 64", vconn.vecSends)
 	}
 }
 
@@ -323,7 +349,7 @@ func TestBatchedSendAllocs(t *testing.T) {
 		if err := src.SeekTo(0); err != nil {
 			t.Fatal(err)
 		}
-		conn.delivered = conn.delivered[:0]
+		conn.batches, conn.delivered = conn.batches[:0], conn.delivered[:0]
 		s := NewStreamSender(conn, StreamConfig{StreamID: 1})
 		st, err := s.Run(src)
 		if err != nil || st.Sent != 256 {

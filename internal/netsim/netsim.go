@@ -275,24 +275,28 @@ func (e *Endpoint) Send(p []byte) error {
 	return e.send(p, nil)
 }
 
-// SendVec transmits hdr followed by payload as one simulated datagram
-// (mtp.VecConn). Both slices are consumed — copied into a single delivery
-// buffer — before the call returns, so the caller may immediately reuse
-// the header buffer and the payload's chunk; the simulated path then
-// applies the same loss/latency/bandwidth model as Send. One copy is
-// inherent here: the simulator must own the bytes it delivers later.
+// SendBatch transmits each packet, Hdr followed by Payload, as one simulated
+// datagram — the send of an mtp.StreamConn, whose mtp.PacketVec is this
+// unnamed struct type (netsim cannot import mtp: mtp's tests import
+// netsim). The model stays per packet: loss, queueing and serialization
+// delay apply to each as they do to Send. Every slice is consumed — copied
+// into the packet's delivery buffer — before the call returns, so the
+// caller may immediately reuse its header arena and the payload's chunk.
+// One copy is inherent here: the simulator must own the bytes it delivers
+// later.
 //
-//xmovie:noretain hdr payload
-func (e *Endpoint) SendVec(hdr, payload []byte) error {
-	return e.send(hdr, payload)
+//xmovie:noretain pkts
+func (e *Endpoint) SendBatch(pkts []struct{ Hdr, Payload []byte }) error {
+	for _, p := range pkts {
+		if err := e.send(p.Hdr, p.Payload); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-// send is the shared Send/SendVec body: a and b (b may be nil) form one
-// datagram. (The endpoint deliberately implements only the per-datagram
-// mtp.VecConn extension, not BatchConn: the simulation models the wire per
-// packet — loss, queueing and serialization delay apply individually — and
-// netsim cannot import mtp's PacketVec without an import cycle through
-// mtp's tests.)
+// send is the shared Send/SendBatch body: a and b (b may be nil) form one
+// datagram.
 //
 //xmovie:noretain a b
 func (e *Endpoint) send(a, b []byte) error {

@@ -12,7 +12,7 @@ import (
 // the address a client put in its Play request. Implementations: UDPDialer
 // for real sockets, SimNet for in-process simulated paths.
 type StreamDialer interface {
-	DialStream(addr string) (mtp.PacketConn, error)
+	DialStream(addr string) (mtp.StreamConn, error)
 }
 
 // UDPDialer dials "host:port" UDP stream addresses.
@@ -21,7 +21,7 @@ type UDPDialer struct{}
 var _ StreamDialer = UDPDialer{}
 
 // DialStream implements StreamDialer.
-func (UDPDialer) DialStream(addr string) (mtp.PacketConn, error) {
+func (UDPDialer) DialStream(addr string) (mtp.StreamConn, error) {
 	return mtp.DialUDP(addr)
 }
 
@@ -70,7 +70,7 @@ func (n *SimNet) Link(addr string) (*netsim.Link, bool) {
 }
 
 // DialStream implements StreamDialer.
-func (n *SimNet) DialStream(addr string) (mtp.PacketConn, error) {
+func (n *SimNet) DialStream(addr string) (mtp.StreamConn, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	ep, ok := n.paths[addr]

@@ -4,9 +4,9 @@
 //
 // An Agent owns the concurrent stream lifecycles of one association:
 // start, pause, resume, live seek, stop, per-stream statistics and a
-// graceful drain. Each stream pulls frames from a lazy FrameSource (one
-// chunk window resident, never the whole movie) and pushes them through an
-// mtp.StreamSender, which paces transmission from the shared timer wheel
+// graceful drain. Each stream pulls frames from a lazy moviedb.FrameSource
+// (one chunk window resident, never the whole movie) and pushes them through
+// an mtp.StreamSender, which paces transmission from the shared timer wheel
 // and adapts to receiver feedback by dropping frames under congestion —
 // XMovie's rate-adaptive delivery. The stream's goroutine is the sender's
 // producer: it blocks in the source, never in a pacing wait.
@@ -26,6 +26,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"xmovie/internal/moviedb"
 	"xmovie/internal/mtp"
 )
 
@@ -141,7 +142,6 @@ type PlayOptions struct {
 type StreamStats struct {
 	ID int64
 	mtp.StreamStats
-	Paused bool
 }
 
 // Agent is the Stream Provider Agent of one MCAM association.
@@ -157,9 +157,8 @@ type Agent struct {
 type stream struct {
 	id     int64
 	sender *mtp.StreamSender
-	conn   mtp.PacketConn
-	src    mtp.FrameSource // kept to cancel live-edge waits and bound seeks
-	paused bool            // mirrors sender state for Stats
+	conn   mtp.StreamConn
+	src    moviedb.FrameSource // kept to cancel live-edge waits and bound seeks
 }
 
 // New creates an agent.
@@ -169,38 +168,39 @@ func New(cfg Config) *Agent {
 
 // Play starts an asynchronous paced transmission of src's frames
 // [opt.From, opt.From+opt.Count) toward addr. The source is owned by the
-// agent from this point: it is advanced by the stream and closed (when it
-// implements io.Closer) once the stream finishes — or right here when
-// Play fails, so callers never have to clean up after an error (disk-
-// backed sources hold file references that must not leak).
-func (a *Agent) Play(id int64, addr string, src mtp.FrameSource, opt PlayOptions) error {
+// agent from this point: it is advanced by the stream and closed once the
+// stream finishes — or right here when Play fails, so callers never have to
+// clean up after an error (disk-backed sources hold file references that
+// must not leak).
+func (a *Agent) Play(id int64, addr string, src moviedb.FrameSource, opt PlayOptions) error {
 	if a.cfg.Dialer == nil {
-		closeSource(src)
+		_ = src.Close()
 		return fmt.Errorf("spa: agent has no stream dialer")
 	}
 	total := src.Len()
 	if opt.From < 0 || opt.From > total {
-		closeSource(src)
+		_ = src.Close()
 		return fmt.Errorf("spa: play position %d outside 0..%d", opt.From, total)
 	}
 	conn, err := a.cfg.Dialer.DialStream(addr)
 	if err != nil {
-		closeSource(src)
+		_ = src.Close()
 		return err
 	}
 	if err := src.SeekTo(opt.From); err != nil {
 		closeConn(conn)
-		closeSource(src)
+		_ = src.Close()
 		return err
 	}
 	if a.cfg.ReadTimeout > 0 {
 		src = boundReads(src, a.cfg.ReadTimeout)
 	}
+	var end int64
 	if opt.Count > 0 {
-		// Always cap, even when From+Count covers the movie as it is now:
+		// Always bound, even when From+Count covers the movie as it is now:
 		// a live movie keeps growing, and a bounded play of one must still
 		// terminate at its Count.
-		src = limit(src, opt.From+opt.Count)
+		end = opt.From + opt.Count
 	}
 	window := a.cfg.Window
 	if opt.Window > 0 {
@@ -217,6 +217,7 @@ func (a *Agent) Play(id int64, addr string, src mtp.FrameSource, opt PlayOptions
 		Window:     window,
 		EOSRepeats: opt.EOSRepeats,
 		Throttle:   a.cfg.Throttle,
+		End:        end,
 	})
 	st := &stream{id: id, sender: sender, conn: conn, src: src}
 
@@ -224,13 +225,13 @@ func (a *Agent) Play(id int64, addr string, src mtp.FrameSource, opt PlayOptions
 	if a.draining {
 		a.mu.Unlock()
 		closeConn(conn)
-		closeSource(src)
+		_ = src.Close()
 		return fmt.Errorf("spa: agent is draining")
 	}
 	if _, dup := a.streams[id]; dup {
 		a.mu.Unlock()
 		closeConn(conn)
-		closeSource(src)
+		_ = src.Close()
 		return fmt.Errorf("spa: stream %d already active", id)
 	}
 	a.streams[id] = st
@@ -243,22 +244,14 @@ func (a *Agent) Play(id int64, addr string, src mtp.FrameSource, opt PlayOptions
 
 // closeConn releases a dialed packet conn when it owns a resource (UDP
 // sockets do; shared SimNet endpoints expose no Close and are left alone).
-func closeConn(conn mtp.PacketConn) {
+func closeConn(conn mtp.StreamConn) {
 	if c, ok := conn.(io.Closer); ok {
 		_ = c.Close()
 	}
 }
 
-// closeSource releases a frame source the agent took ownership of but will
-// never run.
-func closeSource(src mtp.FrameSource) {
-	if c, ok := src.(io.Closer); ok {
-		_ = c.Close()
-	}
-}
-
 // run drives one stream to completion on its own goroutine.
-func (a *Agent) run(st *stream, src mtp.FrameSource, base int64) {
+func (a *Agent) run(st *stream, src moviedb.FrameSource, base int64) {
 	defer a.wg.Done()
 	a.event(Event{Kind: EventStarted, StreamID: st.id, Position: base})
 	stats, err := st.sender.Run(src)
@@ -266,9 +259,7 @@ func (a *Agent) run(st *stream, src mtp.FrameSource, base int64) {
 	a.mu.Lock()
 	delete(a.streams, st.id)
 	a.mu.Unlock()
-	if c, ok := src.(io.Closer); ok {
-		_ = c.Close()
-	}
+	_ = src.Close()
 	closeConn(st.conn)
 	if a.cfg.Totals != nil {
 		a.cfg.Totals.add(stats)
@@ -312,9 +303,6 @@ func (a *Agent) Pause(id int64) error {
 		return err
 	}
 	st.sender.Pause()
-	a.mu.Lock()
-	st.paused = true
-	a.mu.Unlock()
 	return nil
 }
 
@@ -326,9 +314,6 @@ func (a *Agent) Resume(id int64) error {
 		return err
 	}
 	st.sender.Resume()
-	a.mu.Lock()
-	st.paused = false
-	a.mu.Unlock()
 	return nil
 }
 
@@ -361,7 +346,7 @@ func (a *Agent) Stop(id int64) (int64, error) {
 		return 0, err
 	}
 	st.sender.Stop()
-	cancelWait(st.src)
+	st.src.CancelWait()
 	return st.sender.Position(), nil
 }
 
@@ -371,10 +356,7 @@ func (a *Agent) Stats(id int64) (StreamStats, error) {
 	if err != nil {
 		return StreamStats{}, err
 	}
-	a.mu.Lock()
-	paused := st.paused
-	a.mu.Unlock()
-	return StreamStats{ID: id, StreamStats: st.sender.Stats(), Paused: paused}, nil
+	return StreamStats{ID: id, StreamStats: st.sender.Stats()}, nil
 }
 
 // Active returns the number of in-flight streams.
@@ -392,81 +374,8 @@ func (a *Agent) Drain() {
 	a.draining = true
 	for _, st := range a.streams {
 		st.sender.Stop()
-		cancelWait(st.src)
+		st.src.CancelWait()
 	}
 	a.mu.Unlock()
 	a.wg.Wait()
-}
-
-// waitCanceler matches moviedb.WaitCanceler structurally, so the SPA can
-// abort a source blocked at the live edge without importing the database
-// layer.
-type waitCanceler interface {
-	CancelWait()
-}
-
-// cancelWait aborts src's live-edge wait when it supports one.
-func cancelWait(src mtp.FrameSource) {
-	if c, ok := src.(waitCanceler); ok {
-		c.CancelWait()
-	}
-}
-
-// limit bounds a source to frames below end without hiding the underlying
-// SeekTo (live seeks stay movie-wide; end only caps playback).
-func limit(src mtp.FrameSource, end int64) mtp.FrameSource {
-	return &limitedSource{FrameSource: src, end: end}
-}
-
-type limitedSource struct {
-	mtp.FrameSource
-	end int64
-}
-
-func (l *limitedSource) Next() ([]byte, error) {
-	if l.FrameSource.Pos() >= l.end {
-		return nil, io.EOF
-	}
-	return l.FrameSource.Next()
-}
-
-// NextBatch forwards the wrapped source's batching (mtp.BatchSource) with
-// max capped at the playback bound, so a capped stream still coalesces
-// writes without overshooting its final frame.
-func (l *limitedSource) NextBatch(max int) [][]byte {
-	b, ok := l.FrameSource.(mtp.BatchSource)
-	if !ok {
-		return nil
-	}
-	if left := l.end - l.FrameSource.Pos(); int64(max) > left {
-		max = int(left)
-	}
-	if max <= 0 {
-		return nil
-	}
-	return b.NextBatch(max)
-}
-
-// Close forwards to the wrapped source so the agent's cleanup reaches it.
-func (l *limitedSource) Close() error {
-	if c, ok := l.FrameSource.(io.Closer); ok {
-		return c.Close()
-	}
-	return nil
-}
-
-// CancelWait forwards so Stop/Drain can unwedge a capped live stream.
-func (l *limitedSource) CancelWait() {
-	if c, ok := l.FrameSource.(waitCanceler); ok {
-		c.CancelWait()
-	}
-}
-
-// TakeWaited forwards the wrapped source's live-edge wait accounting so
-// the sender still sees it through the cap.
-func (l *limitedSource) TakeWaited() time.Duration {
-	if w, ok := l.FrameSource.(mtp.EdgeWaiter); ok {
-		return w.TakeWaited()
-	}
-	return 0
 }

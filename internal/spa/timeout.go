@@ -3,9 +3,9 @@ package spa
 import (
 	"errors"
 	"fmt"
-	"io"
 	"time"
 
+	"xmovie/internal/moviedb"
 	"xmovie/internal/mtp"
 	"xmovie/internal/timewheel"
 )
@@ -32,18 +32,18 @@ type readResult struct {
 //
 // Only storage reads are bounded. A position at or past the source's
 // current length is the live edge — the frame does not exist yet, and
-// waiting for the producer is paced separately (EdgeWaiter) and canceled
+// waiting for the producer is paced separately (TakeWaited) and canceled
 // separately (CancelWait), so it stays unbounded here.
 //
-// The wrapper deliberately does not forward mtp.BatchSource: every read
-// must pass through the deadline machinery one frame at a time, so
-// bounded-read streams trade write batching for the wedge protection
-// (ReadTimeout defaults to 0, where batching stays on).
+// NextBatch deliberately hands out nothing: every read must pass through
+// the deadline machinery one frame at a time, so bounded-read streams trade
+// write batching for the wedge protection (ReadTimeout defaults to 0, where
+// batching stays on).
 //
 // The wrapper is not safe for concurrent use — like the FrameSource it
 // wraps, it belongs to one sender goroutine.
 type timedSource struct {
-	inner   mtp.FrameSource
+	inner   moviedb.FrameSource
 	timeout time.Duration
 	req     chan int64
 	res     chan readResult
@@ -55,7 +55,7 @@ type timedSource struct {
 
 // boundReads wraps src so each storage read completes within timeout or
 // costs exactly one frame.
-func boundReads(src mtp.FrameSource, timeout time.Duration) *timedSource {
+func boundReads(src moviedb.FrameSource, timeout time.Duration) *timedSource {
 	t := &timedSource{
 		inner:   src,
 		timeout: timeout,
@@ -88,7 +88,7 @@ func (t *timedSource) worker() {
 		}
 		t.res <- readResult{pos: pos, frame: frame, err: err}
 	}
-	closeSource(t.inner)
+	_ = t.inner.Close()
 }
 
 func (t *timedSource) Len() int64 { return t.inner.Len() }
@@ -154,6 +154,10 @@ func (t *timedSource) Next() ([]byte, error) {
 	}
 }
 
+// NextBatch implements moviedb.FrameSource. It hands out nothing: see the
+// type's comment.
+func (t *timedSource) NextBatch(int) [][]byte { return nil }
+
 // unavailable books one timed-out read: the frame's position is consumed
 // and the sender sees mtp.ErrFrameUnavailable — unless the store has now
 // missed wedgedAfter reads in a row, which aborts the stream outright.
@@ -175,32 +179,17 @@ func (t *timedSource) Close() error {
 		return nil
 	}
 	t.closed = true
-	cancelWait(t.inner) // unblock a worker (or direct call) parked at the live edge
+	t.inner.CancelWait() // unblock a worker (or direct call) parked at the live edge
 	close(t.req)
 	return nil
 }
 
-// CancelWait forwards so Stop/Drain can unwedge a live-edge wait running
-// under the worker.
-func (t *timedSource) CancelWait() { cancelWait(t.inner) }
+// CancelWait lets Stop/Drain unwedge a live-edge wait running under the
+// worker.
+func (t *timedSource) CancelWait() { t.inner.CancelWait() }
 
-// TakeWaited forwards the inner source's live-edge accounting (tail
-// cursors accumulate atomically, so reading it from the sender goroutine
-// while the worker blocks is safe).
-func (t *timedSource) TakeWaited() time.Duration {
-	if w, ok := t.inner.(mtp.EdgeWaiter); ok {
-		return w.TakeWaited()
-	}
-	return 0
-}
+// TakeWaited reads the inner source's live-edge accounting, which the
+// contract makes safe while the worker blocks in Next.
+func (t *timedSource) TakeWaited() time.Duration { return t.inner.TakeWaited() }
 
-// MaxResident forwards the inner source's residency bound, if it reports
-// one.
-func (t *timedSource) MaxResident() int64 {
-	if r, ok := t.inner.(interface{ MaxResident() int64 }); ok {
-		return r.MaxResident()
-	}
-	return 0
-}
-
-var _ io.Closer = (*timedSource)(nil)
+var _ moviedb.FrameSource = (*timedSource)(nil)

@@ -40,6 +40,10 @@ func (s *slowSource) Next() ([]byte, error) {
 	return f, nil
 }
 
+func (s *slowSource) NextBatch(int) [][]byte    { return nil }
+func (s *slowSource) CancelWait()               {}
+func (s *slowSource) TakeWaited() time.Duration { return 0 }
+
 func (s *slowSource) SeekTo(pos int64) error {
 	s.pos = pos
 	return nil

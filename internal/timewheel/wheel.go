@@ -278,9 +278,6 @@ func (w *Wheel) Wait(d time.Duration, cancel <-chan struct{}) bool {
 	return elapsed
 }
 
-// Sleep blocks for d on the wheel's granularity.
-func (w *Wheel) Sleep(d time.Duration) { w.Wait(d, nil) }
-
 // Timer is one armed wheel timer for callers that need the channel form
 // (select against other events). Stop releases it; the timer must not be
 // used after Stop, and C fires at most once.

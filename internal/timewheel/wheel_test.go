@@ -80,7 +80,7 @@ func TestTimerFireAndStop(t *testing.T) {
 // drains and restarts on the next arm.
 func TestWheelParks(t *testing.T) {
 	w := New(time.Millisecond, 64)
-	w.Sleep(2 * time.Millisecond)
+	w.Wait(2*time.Millisecond, nil)
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		w.mu.Lock()
