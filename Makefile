@@ -84,13 +84,13 @@ bench-smoke:
 # path, the paced emit path stepped by the timer wheel, the zero-copy
 # batched send path with its syscall-count bound and the UDP conn's
 # SendBatch/TryRecv — and the disk store's cached read path) +
-# append-vs-schema byte-identity proofs and the cold/cached disk-read
-# benchmark, then the mcambench -json smoke emitting BENCH_*.json into
-# bench-out/.
+# append-vs-schema byte-identity proofs, the cold/cached disk-read
+# benchmark and the directory's Add+Remove at 1k and 16k entries, then the
+# mcambench -json smoke emitting BENCH_*.json into bench-out/.
 bench-guard:
 	$(GO) test -run='TestSendSelectFireAllocs|TestPDUEncodeAllocs|TestPPDUEncodeAllocs|TestStreamPathAllocs|TestFrameSourceSendAllocs|TestPacedEmitAllocs|TestLiveTailSendAllocs|TestBatchedSendAllocs|TestBatchedSendSyscalls|TestUDPConnAllocs|TestDiskCachedReadAllocs|TestAppendMatchesSchemaEncoder' \
 		./internal/estelle ./internal/mcam ./internal/presentation ./internal/mtp ./internal/moviedb
-	$(GO) test -run='^$$' -bench='BenchmarkDiskStream' -benchtime=10x -benchmem ./internal/moviedb
+	$(GO) test -run='^$$' -bench='BenchmarkDiskStream|BenchmarkDSARemove' -benchtime=10x -benchmem ./internal/moviedb ./internal/directory
 	mkdir -p bench-out
 	$(GO) run ./cmd/mcambench -json -outdir bench-out e4 hot
 

@@ -103,6 +103,37 @@ func TestDSAReadAddRemove(t *testing.T) {
 	}
 }
 
+func TestRemoveRefusals(t *testing.T) {
+	ctx := MustParseDN("c=DE/o=uni")
+	d := NewDSA("dsa-1", ctx)
+	dua := NewDUA(d)
+	// An empty naming context is still the DSA's root: removing it would
+	// refuse every later Add under it.
+	if err := dua.Remove(ctx); !errors.Is(err, ErrIsContext) {
+		t.Fatalf("remove empty context = %v, want ErrIsContext", err)
+	}
+	if err := dua.Add(&Entry{DN: ctx}); !errors.Is(err, ErrEntryExists) {
+		t.Errorf("re-add context = %v, want ErrEntryExists", err)
+	}
+	series := ctx.Child("ou", "series")
+	if err := dua.Add(&Entry{DN: series}); err != nil {
+		t.Fatalf("add under context after refused remove: %v", err)
+	}
+	episode := series.Child("cn", "ep1")
+	if err := dua.Add(&Entry{DN: episode}); err != nil {
+		t.Fatal(err)
+	}
+	if err := dua.Remove(series); !errors.Is(err, ErrHasChildren) {
+		t.Errorf("remove non-leaf = %v, want ErrHasChildren", err)
+	}
+	if err := dua.Remove(episode); err != nil {
+		t.Fatal(err)
+	}
+	if err := dua.Remove(series); err != nil {
+		t.Errorf("remove emptied entry = %v", err)
+	}
+}
+
 func TestDSASearchScopes(t *testing.T) {
 	d := newMovieDSA(t)
 	dua := NewDUA(d)

@@ -51,13 +51,24 @@ func MustParseDN(s string) DN {
 	return dn
 }
 
-// String renders the DN root-first with "/" separators.
+// String renders the DN root-first with "/" separators. It is every entry's
+// map and sort key, so it builds the string in one allocation.
 func (d DN) String() string {
-	parts := make([]string, len(d))
-	for i, r := range d {
-		parts[i] = r.String()
+	n := 0
+	for _, r := range d {
+		n += len(r.Attr) + len(r.Value) + 2
 	}
-	return strings.Join(parts, "/")
+	var b strings.Builder
+	b.Grow(n)
+	for i, r := range d {
+		if i > 0 {
+			b.WriteByte('/')
+		}
+		b.WriteString(r.Attr)
+		b.WriteByte('=')
+		b.WriteString(r.Value)
+	}
+	return b.String()
 }
 
 // Equal reports component-wise equality.

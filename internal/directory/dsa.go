@@ -3,7 +3,8 @@ package directory
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 
 	"xmovie/internal/stripe"
@@ -15,6 +16,12 @@ var (
 	ErrEntryExists   = errors.New("directory: entry exists")
 	ErrNoSuchContext = errors.New("directory: no DSA masters this name")
 	ErrLoopDetected  = errors.New("directory: chaining loop detected")
+	// ErrHasChildren refuses removing a non-leaf entry (X.511
+	// notAllowedOnNonLeaf).
+	ErrHasChildren = errors.New("directory: entry has children")
+	// ErrIsContext refuses removing the naming-context entry a DSA masters:
+	// every entry it holds hangs below it.
+	ErrIsContext = errors.New("directory: entry is the DSA's naming context")
 )
 
 // Agent is the operational interface of a directory system agent; DUAs and
@@ -32,19 +39,41 @@ const MaxHops = 8
 
 // dsaStripes is the entry-map stripe count (power of two). Striping lets
 // thousands of concurrent sessions read and mirror attributes without
-// serializing on one DSA-wide mutex; only Remove (rare) locks every stripe.
+// serializing on one DSA-wide mutex; no operation locks more than two
+// stripes at once.
 const dsaStripes = 32
 
 // dsaStripe is one independently locked slice of the entry map.
 type dsaStripe struct {
 	mu      sync.RWMutex
-	entries map[string]*Entry
+	entries map[string]*node
+}
+
+// node is one entry as its DSA holds it. key and stripe never change; the
+// other fields are guarded by the lock of the node's own stripe — so a
+// parent's child index lives, and is maintained, in the parent's stripe.
+type node struct {
+	key    string // the DN's string form: map key and result sort key
+	stripe int
+	entry  *Entry
+	// children indexes the entries one level below this one.
+	children map[*node]struct{}
+	// gone marks a removed node, for walkers that reached it through a
+	// child index before the removal.
+	gone bool
+}
+
+// subordinate is a chaining target: the DSA mastering ctx.
+type subordinate struct {
+	ctx   DN
+	agent Agent
 }
 
 // DSA is one directory system agent mastering a naming context (a DN
 // prefix). Requests outside the context chain to the superior or to a
 // subordinate DSA whose context covers the name. Entries are striped by DN
-// hash; per-entry operations take exactly one stripe lock.
+// hash; reads and modifications take one stripe lock, Add and Remove the
+// entry's and its parent's.
 type DSA struct {
 	name    string
 	context DN
@@ -52,10 +81,8 @@ type DSA struct {
 	stripes [dsaStripes]dsaStripe
 
 	// cfgMu guards the chaining topology, which changes only at setup time.
-	cfgMu sync.RWMutex
-	// subordinates maps a context prefix (string form) to the DSA
-	// mastering it.
-	subordinates map[string]Agent
+	cfgMu        sync.RWMutex
+	subordinates []subordinate
 	superior     Agent
 }
 
@@ -70,19 +97,16 @@ func stripeFor(key string) int {
 // NewDSA creates a DSA mastering the given naming context. The context
 // entry itself is created implicitly.
 func NewDSA(name string, context DN) *DSA {
-	d := &DSA{
-		name:         name,
-		context:      context,
-		subordinates: make(map[string]Agent),
-	}
+	d := &DSA{name: name, context: context}
 	for i := range d.stripes {
-		d.stripes[i].entries = make(map[string]*Entry)
+		d.stripes[i].entries = make(map[string]*node)
 	}
 	key := context.String()
-	d.stripes[stripeFor(key)].entries[key] = &Entry{DN: context, Attrs: map[string][]string{
+	n := &node{key: key, stripe: stripeFor(key), entry: &Entry{DN: context, Attrs: map[string][]string{
 		"objectClass": {"namingContext"},
 		"masteredBy":  {name},
-	}}
+	}}}
+	d.stripes[n.stripe].entries[key] = n
 	return d
 }
 
@@ -105,9 +129,16 @@ func (d *DSA) AddSubordinate(ctx DN, sub Agent) error {
 	if !ctx.HasPrefix(d.context) {
 		return fmt.Errorf("directory: %s is not under %s", ctx, d.context)
 	}
+	ctx = append(DN(nil), ctx...)
 	d.cfgMu.Lock()
-	d.subordinates[ctx.String()] = sub
-	d.cfgMu.Unlock()
+	defer d.cfgMu.Unlock()
+	for i := range d.subordinates {
+		if d.subordinates[i].ctx.Equal(ctx) {
+			d.subordinates[i].agent = sub
+			return nil
+		}
+	}
+	d.subordinates = append(d.subordinates, subordinate{ctx: ctx, agent: sub})
 	return nil
 }
 
@@ -119,10 +150,9 @@ func (d *DSA) route(dn DN) (Agent, error) {
 		// prefix.
 		d.cfgMu.RLock()
 		defer d.cfgMu.RUnlock()
-		for ctxStr, sub := range d.subordinates {
-			subCtx := MustParseDN(ctxStr)
-			if dn.HasPrefix(subCtx) {
-				return sub, nil
+		for _, s := range d.subordinates {
+			if dn.HasPrefix(s.ctx) {
+				return s.agent, nil
 			}
 		}
 		return nil, nil
@@ -160,15 +190,21 @@ func (d *DSA) Read(dn DN, hops int) (*Entry, error) {
 	st := &d.stripes[stripeFor(key)]
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	e, ok := st.entries[key]
+	n, ok := st.entries[key]
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNoSuchEntry, dn)
 	}
-	return e.clone(), nil
+	return n.entry.clone(), nil
+}
+
+// hit is one local or chained Search result with its sort key.
+type hit struct {
+	key   string
+	entry *Entry
 }
 
 // Search implements Agent. Subtree searches also chain into subordinate
-// contexts under the base.
+// contexts under the base. Results come in byte order of the DN string form.
 func (d *DSA) Search(base DN, scope Scope, filter Filter, hops int) ([]*Entry, error) {
 	agent, err := d.route(base)
 	if err != nil {
@@ -184,48 +220,16 @@ func (d *DSA) Search(base DN, scope Scope, filter Filter, hops int) ([]*Entry, e
 	if filter == nil {
 		filter = All()
 	}
-	// Stripe-by-stripe scan: each stripe is read-locked in turn, so the
-	// result is consistent per stripe but not an atomic snapshot across
-	// the whole DSA — concurrent adds and removes may or may not appear.
-	var out []*Entry
-	for i := range d.stripes {
-		st := &d.stripes[i]
-		st.mu.RLock()
-		for _, e := range st.entries {
-			switch scope {
-			case ScopeBase:
-				if !e.DN.Equal(base) {
-					continue
-				}
-			case ScopeOneLevel:
-				if len(e.DN) != len(base)+1 || !e.DN.HasPrefix(base) {
-					continue
-				}
-			default: // ScopeSubtree
-				if !e.DN.HasPrefix(base) {
-					continue
-				}
-			}
-			if filter.Match(e) {
-				out = append(out, e.clone())
-			}
-		}
-		st.mu.RUnlock()
-	}
+	hits := d.walk(base, scope, filter)
 	// Chain subtree searches into subordinate contexts under the base,
 	// clipping the base to each subordinate's context (as X.518 subrequest
 	// decomposition does) so the subordinate recognises it as its own.
-	type subSearch struct {
-		agent Agent
-		base  DN
-	}
-	var subs []subSearch
+	var subs []subordinate
 	if scope == ScopeSubtree {
 		d.cfgMu.RLock()
-		for ctxStr, sub := range d.subordinates {
-			subCtx := MustParseDN(ctxStr)
-			if subCtx.HasPrefix(base) {
-				subs = append(subs, subSearch{agent: sub, base: subCtx})
+		for _, s := range d.subordinates {
+			if s.ctx.HasPrefix(base) {
+				subs = append(subs, s)
 			}
 		}
 		d.cfgMu.RUnlock()
@@ -235,14 +239,80 @@ func (d *DSA) Search(base DN, scope Scope, filter Filter, hops int) ([]*Entry, e
 		if err != nil {
 			return nil, err
 		}
-		more, err := s.agent.Search(s.base, scope, filter, h)
+		more, err := s.agent.Search(s.ctx, scope, filter, h)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, more...)
+		for _, e := range more {
+			hits = append(hits, hit{key: e.DN.String(), entry: e})
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].DN.String() < out[j].DN.String() })
+	// A pre-order walk is not byte order (cn=x-1 sorts before cn=x/cn=y),
+	// so the hits are sorted once, on their keys.
+	slices.SortFunc(hits, func(a, b hit) int { return strings.Compare(a.key, b.key) })
+	out := make([]*Entry, len(hits))
+	for i, h := range hits {
+		out[i] = h.entry
+	}
 	return out, nil
+}
+
+// walk collects the local entries in scope that match filter by following
+// the child index down from the base. It read-locks one node's stripe at a
+// time, never two, so it cannot deadlock with Add or Remove; the result is
+// consistent per entry but not an atomic snapshot — concurrent adds and
+// removes may or may not appear. A scope other than ScopeBase and
+// ScopeOneLevel is a subtree.
+func (d *DSA) walk(base DN, scope Scope, filter Filter) []hit {
+	key := base.String()
+	st := &d.stripes[stripeFor(key)]
+	st.mu.RLock()
+	root := st.entries[key]
+	st.mu.RUnlock()
+	if root == nil {
+		return nil
+	}
+	var hits []hit
+	stack := []*node{root}
+	for len(stack) > 0 {
+		n := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		st := &d.stripes[n.stripe]
+		st.mu.RLock()
+		if !n.gone {
+			if (n != root || scope != ScopeOneLevel) && filter.Match(n.entry) {
+				hits = append(hits, hit{key: n.key, entry: n.entry.clone()})
+			}
+			if scope != ScopeBase && (n == root || scope != ScopeOneLevel) {
+				for c := range n.children {
+					stack = append(stack, c)
+				}
+			}
+		}
+		st.mu.RUnlock()
+	}
+	return hits
+}
+
+// lockPair write-locks stripes a and b (once when equal) in ascending index
+// order — the one order every two-stripe writer uses, so Add and Remove
+// cannot deadlock each other.
+func (d *DSA) lockPair(a, b int) {
+	if a > b {
+		a, b = b, a
+	}
+	d.stripes[a].mu.Lock()
+	if b != a {
+		d.stripes[b].mu.Lock()
+	}
+}
+
+// unlockPair releases what lockPair(a, b) took.
+func (d *DSA) unlockPair(a, b int) {
+	d.stripes[a].mu.Unlock()
+	if b != a {
+		d.stripes[b].mu.Unlock()
+	}
 }
 
 // Add implements Agent. The parent entry must exist.
@@ -258,43 +328,36 @@ func (d *DSA) Add(e *Entry, hops int) error {
 		}
 		return agent.Add(e, h)
 	}
-	key := e.DN.String()
-	ti := stripeFor(key)
-	parent := e.DN.Parent()
-	pi := -1
-	var parentKey string
-	if len(parent) >= len(d.context) {
-		parentKey = parent.String()
-		pi = stripeFor(parentKey)
-	}
-	// Lock the target stripe and (when distinct) the parent's stripe in
-	// ascending index order, so the existence check and the insert are one
-	// atomic step without a DSA-wide lock.
-	lo, hi := ti, pi
-	if pi == -1 || pi == ti {
-		lo, hi = ti, -1
-	} else if pi < ti {
-		lo, hi = pi, ti
-	}
-	d.stripes[lo].mu.Lock()
-	defer d.stripes[lo].mu.Unlock()
-	if hi >= 0 {
-		d.stripes[hi].mu.Lock()
-		defer d.stripes[hi].mu.Unlock()
-	}
-	if _, ok := d.stripes[ti].entries[key]; ok {
+	if len(e.DN) == len(d.context) {
+		// The naming-context entry exists from NewDSA on and is never
+		// removed.
 		return fmt.Errorf("%w: %s", ErrEntryExists, e.DN)
 	}
-	if pi >= 0 {
-		if _, ok := d.stripes[pi].entries[parentKey]; !ok {
-			return fmt.Errorf("%w: parent %s", ErrNoSuchEntry, parent)
-		}
+	key := e.DN.String()
+	n := &node{key: key, stripe: stripeFor(key), entry: e.clone()}
+	parentKey := e.DN.Parent().String()
+	pi := stripeFor(parentKey)
+	// The entry's and its parent's stripes make the existence checks, the
+	// insert and the parent's child index one atomic step.
+	d.lockPair(n.stripe, pi)
+	defer d.unlockPair(n.stripe, pi)
+	if _, ok := d.stripes[n.stripe].entries[key]; ok {
+		return fmt.Errorf("%w: %s", ErrEntryExists, e.DN)
 	}
-	d.stripes[ti].entries[key] = e.clone()
+	p, ok := d.stripes[pi].entries[parentKey]
+	if !ok {
+		return fmt.Errorf("%w: parent %s", ErrNoSuchEntry, e.DN.Parent())
+	}
+	if p.children == nil {
+		p.children = make(map[*node]struct{})
+	}
+	p.children[n] = struct{}{}
+	d.stripes[n.stripe].entries[key] = n
 	return nil
 }
 
-// Remove implements Agent. Entries with children cannot be removed.
+// Remove implements Agent. Entries with children and the naming-context
+// entry cannot be removed.
 func (d *DSA) Remove(dn DN, hops int) error {
 	agent, err := d.route(dn)
 	if err != nil {
@@ -307,24 +370,26 @@ func (d *DSA) Remove(dn DN, hops int) error {
 		}
 		return agent.Remove(dn, h)
 	}
-	// The has-children check must see every stripe, so Remove — the one
-	// rare whole-DSA operation — write-locks all stripes in index order.
-	for i := range d.stripes {
-		d.stripes[i].mu.Lock()
-		defer d.stripes[i].mu.Unlock()
+	if len(dn) == len(d.context) {
+		return fmt.Errorf("%w: %s", ErrIsContext, dn)
 	}
 	key := dn.String()
-	if _, ok := d.stripes[stripeFor(key)].entries[key]; !ok {
+	parentKey := dn.Parent().String()
+	ti, pi := stripeFor(key), stripeFor(parentKey)
+	// The same two stripes Add takes: the parent's child index answers
+	// "has children?" and loses the entry in the same step.
+	d.lockPair(ti, pi)
+	defer d.unlockPair(ti, pi)
+	n, ok := d.stripes[ti].entries[key]
+	if !ok {
 		return fmt.Errorf("%w: %s", ErrNoSuchEntry, dn)
 	}
-	for i := range d.stripes {
-		for _, e := range d.stripes[i].entries {
-			if len(e.DN) == len(dn)+1 && e.DN.HasPrefix(dn) {
-				return fmt.Errorf("directory: %s has children", dn)
-			}
-		}
+	if len(n.children) > 0 {
+		return fmt.Errorf("%w: %s", ErrHasChildren, dn)
 	}
-	delete(d.stripes[stripeFor(key)].entries, key)
+	delete(d.stripes[ti].entries, key)
+	delete(d.stripes[pi].entries[parentKey].children, n)
+	n.gone = true
 	return nil
 }
 
@@ -346,15 +411,15 @@ func (d *DSA) Modify(dn DN, set map[string][]string, del []string, hops int) err
 	st := &d.stripes[stripeFor(key)]
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	e, ok := st.entries[key]
+	n, ok := st.entries[key]
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNoSuchEntry, dn)
 	}
 	for k, v := range set {
-		e.Attrs[k] = append([]string(nil), v...)
+		n.entry.Attrs[k] = append([]string(nil), v...)
 	}
 	for _, k := range del {
-		delete(e.Attrs, k)
+		delete(n.entry.Attrs, k)
 	}
 	return nil
 }
