@@ -4,7 +4,7 @@
 GO ?= go
 
 .PHONY: build test test-short verify fmt-check vet lint cross generate generate-check \
-	metrics-guard bench-check bench-smoke bench-guard bench-trajectory load-smoke \
+	metrics-guard bench-check bench-smoke bench-guard bench-trajectory fuzz-smoke load-smoke \
 	load-stream load-disk load-broadcast load-chaos load-qos load-scale ci
 
 build:
@@ -80,7 +80,8 @@ bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
 
 # Hot-path guard: allocation-regression tests (pooled runtime cycle,
-# append-path codecs, MTP stream paths — including the FrameSource send
+# append-path encoders and typed decoders of the three PDU layers, MTP
+# stream paths — including the FrameSource send
 # path, the paced emit path stepped by the timer wheel, the zero-copy
 # batched send path with its syscall-count bound and the UDP conn's
 # SendBatch/TryRecv — and the disk store's cached read path) +
@@ -88,11 +89,22 @@ bench-smoke:
 # benchmark and the directory's Add+Remove at 1k and 16k entries, then the
 # mcambench -json smoke emitting BENCH_*.json into bench-out/.
 bench-guard:
-	$(GO) test -run='TestSendSelectFireAllocs|TestPDUEncodeAllocs|TestPPDUEncodeAllocs|TestStreamPathAllocs|TestFrameSourceSendAllocs|TestPacedEmitAllocs|TestLiveTailSendAllocs|TestBatchedSendAllocs|TestBatchedSendSyscalls|TestUDPConnAllocs|TestDiskCachedReadAllocs|TestAppendMatchesSchemaEncoder' \
-		./internal/estelle ./internal/mcam ./internal/presentation ./internal/mtp ./internal/moviedb
+	$(GO) test -run='TestSendSelectFireAllocs|TestPDUEncodeAllocs|TestPPDUEncodeAllocs|TestPDUDecodeAllocs|TestPPDUDecodeAllocs|TestSPDUParseAllocs|TestStreamPathAllocs|TestFrameSourceSendAllocs|TestPacedEmitAllocs|TestLiveTailSendAllocs|TestBatchedSendAllocs|TestBatchedSendSyscalls|TestUDPConnAllocs|TestDiskCachedReadAllocs|TestAppendMatchesSchemaEncoder' \
+		./internal/estelle ./internal/mcam ./internal/presentation ./internal/session ./internal/mtp ./internal/moviedb
 	$(GO) test -run='^$$' -bench='BenchmarkDiskStream|BenchmarkDSARemove' -benchtime=10x -benchmem ./internal/moviedb ./internal/directory
 	mkdir -p bench-out
 	$(GO) run ./cmd/mcambench -json -outdir bench-out e4 hot
+
+# Fuzz smoke: each native fuzz target for ten seconds — the typed MCAM and
+# presentation decoders against their schema oracle, and the SPDU parser's
+# round trip. `make test` already replays the committed seed corpora
+# (testdata/fuzz); this explores past them. An input that fails is written
+# into the package's testdata/fuzz, where, once committed, `make test`
+# replays it.
+fuzz-smoke:
+	$(GO) test -run='^$$' -fuzz='^FuzzDecode$$' -fuzztime=10s ./internal/mcam
+	$(GO) test -run='^$$' -fuzz='^FuzzDecode$$' -fuzztime=10s ./internal/presentation
+	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=10s ./internal/session
 
 # Benchmark trajectory: every experiment and hot-path micro-benchmark plus
 # the load-harness smoke profile (1000 concurrent sessions over the
@@ -194,6 +206,6 @@ load-scale:
 		-json -out mcamload_scale -outdir bench-out
 
 # Everything CI checks, locally.
-ci: fmt-check vet lint cross bench-check build generate-check test-short test bench-smoke bench-guard \
+ci: fmt-check vet lint cross bench-check build generate-check test-short test fuzz-smoke bench-smoke bench-guard \
 	bench-trajectory load-smoke load-stream load-disk load-broadcast load-chaos \
 	load-qos load-scale

@@ -3,10 +3,12 @@
 //
 // The 1994 paper generated C++ encode/decode routines from ASN.1 definitions
 // (refs [9], [16]) and measured a parallel encoder variant (ref [12]). This
-// package is the Go analogue: low-level BER TLV primitives, a descriptor
-// ("compiled schema") layer driving generic encode/decode, a parser for ASN.1
-// module text, and a parallel encoder used to reproduce the paper's negative
-// result on parallel encoding (experiment E7).
+// package is the Go analogue: low-level BER TLV primitives (Append* to
+// encode, Decoder to decode) that the PDU layers' typed codecs are written
+// over, a descriptor ("compiled schema") layer driving generic encode/decode
+// that their tests keep as the reference, a parser for ASN.1 module text, and
+// a parallel encoder used to reproduce the paper's negative result on
+// parallel encoding (experiment E7).
 //
 // Only definite-length BER is produced; both definite-length primitive and
 // constructed encodings are accepted. This is sufficient for every PDU in the
@@ -216,67 +218,73 @@ func AppendNull(dst []byte, class Class, tag uint32) []byte {
 
 // ParseHeader decodes the identifier and length at the start of data.
 func ParseHeader(data []byte) (Header, error) {
-	var h Header
+	class, constructed, tag, length, headerLen, err := parseHeader(data)
+	if err != nil {
+		return Header{}, err
+	}
+	return Header{Class: class, Constructed: constructed, Tag: tag, Length: length, HeaderLen: headerLen}, nil
+}
+
+// parseHeader is ParseHeader with the header's fields as separate results.
+// A Header has too many fields for the compiler to keep in registers, so
+// every Header passed back goes through memory, and a copy of it reloads
+// whole words over its byte-wide fields; the Decoder parses a header per
+// element and calls this instead.
+func parseHeader(data []byte) (class Class, constructed bool, tag uint32, length, headerLen int, err error) {
 	if len(data) < 2 {
-		return h, ErrTruncated
+		return 0, false, 0, 0, 0, ErrTruncated
 	}
 	b := data[0]
-	h.Class = Class(b >> 6)
-	h.Constructed = b&0x20 != 0
 	off := 1
-	if b&0x1f != 0x1f {
-		h.Tag = uint32(b & 0x1f)
-	} else {
-		var tag uint32
+	tag = uint32(b & 0x1f)
+	if tag == 0x1f {
+		tag = 0
 		for {
 			if off >= len(data) {
-				return h, ErrTruncated
+				return 0, false, 0, 0, 0, ErrTruncated
 			}
 			c := data[off]
 			off++
 			if tag > 1<<24 {
-				return h, fmt.Errorf("%w: tag overflow", ErrBadValue)
+				return 0, false, 0, 0, 0, fmt.Errorf("%w: tag overflow", ErrBadValue)
 			}
 			tag = tag<<7 | uint32(c&0x7f)
 			if c&0x80 == 0 {
 				break
 			}
 		}
-		h.Tag = tag
 	}
 	if off >= len(data) {
-		return h, ErrTruncated
+		return 0, false, 0, 0, 0, ErrTruncated
 	}
 	l := data[off]
 	off++
+	length = int(l)
 	switch {
 	case l < 0x80:
-		h.Length = int(l)
 	case l == 0x80:
-		return h, fmt.Errorf("%w: indefinite length unsupported", ErrBadLength)
+		return 0, false, 0, 0, 0, fmt.Errorf("%w: indefinite length unsupported", ErrBadLength)
 	default:
 		n := int(l & 0x7f)
 		if n > 4 {
-			return h, fmt.Errorf("%w: length of %d octets", ErrBadLength, n)
+			return 0, false, 0, 0, 0, fmt.Errorf("%w: length of %d octets", ErrBadLength, n)
 		}
 		if off+n > len(data) {
-			return h, ErrTruncated
+			return 0, false, 0, 0, 0, ErrTruncated
 		}
-		v := 0
+		length = 0
 		for i := 0; i < n; i++ {
-			v = v<<8 | int(data[off+i])
+			length = length<<8 | int(data[off+i])
 		}
-		if v < 0 {
-			return h, ErrBadLength
+		if length < 0 {
+			return 0, false, 0, 0, 0, ErrBadLength
 		}
-		h.Length = v
 		off += n
 	}
-	h.HeaderLen = off
-	if h.HeaderLen+h.Length > len(data) {
-		return h, ErrTruncated
+	if off+length > len(data) {
+		return 0, false, 0, 0, 0, ErrTruncated
 	}
-	return h, nil
+	return Class(b >> 6), b&0x20 != 0, tag, length, off, nil
 }
 
 // ParseIntegerContent decodes two's-complement content octets.
@@ -303,72 +311,4 @@ func ParseBoolContent(content []byte) (bool, error) {
 		return false, fmt.Errorf("%w: boolean of %d octets", ErrBadValue, len(content))
 	}
 	return content[0] != 0, nil
-}
-
-// Decoder walks a BER-encoded byte string element by element.
-type Decoder struct {
-	data []byte
-	off  int
-}
-
-// NewDecoder returns a Decoder over data.
-func NewDecoder(data []byte) *Decoder { return &Decoder{data: data} }
-
-// More reports whether undecoded octets remain.
-func (d *Decoder) More() bool { return d.off < len(d.data) }
-
-// Offset returns the current decode position.
-func (d *Decoder) Offset() int { return d.off }
-
-// Rest returns the not-yet-consumed octets.
-func (d *Decoder) Rest() []byte { return d.data[d.off:] }
-
-// Peek decodes the header of the next element without consuming it.
-func (d *Decoder) Peek() (Header, error) {
-	return ParseHeader(d.data[d.off:])
-}
-
-// Next consumes the next element and returns its header and content octets.
-// The content slice aliases the decoder's underlying buffer.
-func (d *Decoder) Next() (Header, []byte, error) {
-	h, err := ParseHeader(d.data[d.off:])
-	if err != nil {
-		return h, nil, err
-	}
-	content := d.data[d.off+h.HeaderLen : d.off+h.HeaderLen+h.Length]
-	d.off += h.HeaderLen + h.Length
-	return h, content, nil
-}
-
-// Expect consumes the next element and checks its class/tag.
-func (d *Decoder) Expect(class Class, tag uint32) (Header, []byte, error) {
-	h, content, err := d.Next()
-	if err != nil {
-		return h, nil, err
-	}
-	if h.Class != class || h.Tag != tag {
-		return h, nil, fmt.Errorf("%w: got %s %d, want %s %d",
-			ErrBadValue, h.Class, h.Tag, class, tag)
-	}
-	return h, content, nil
-}
-
-// ExpectInteger consumes an element with the given class/tag and decodes the
-// content as an integer.
-func (d *Decoder) ExpectInteger(class Class, tag uint32) (int64, error) {
-	_, content, err := d.Expect(class, tag)
-	if err != nil {
-		return 0, err
-	}
-	return ParseIntegerContent(content)
-}
-
-// ExpectString consumes an element with the given class/tag and returns the
-// content as a string.
-func (d *Decoder) ExpectString(class Class, tag uint32) (string, error) {
-	_, content, err := d.Expect(class, tag)
-	if err != nil {
-		return "", err
-	}
-	return string(content), nil
 }

@@ -62,8 +62,9 @@ func TestIntegerRoundTripQuick(t *testing.T) {
 	f := func(v int64) bool {
 		buf := AppendInteger(nil, ClassUniversal, TagInteger, v)
 		d := NewDecoder(buf)
-		got, err := d.ExpectInteger(ClassUniversal, TagInteger)
-		return err == nil && got == v && !d.More()
+		s := d.All()
+		got := d.Integer(&s, ClassUniversal, TagInteger, Mandatory)
+		return d.Err() == nil && got == v && !s.More()
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -117,35 +118,63 @@ func TestDecoderWalk(t *testing.T) {
 	buf = AppendInteger(buf, ClassUniversal, TagInteger, 42)
 	buf = AppendString(buf, ClassUniversal, TagUTF8String, "movie")
 	buf = AppendBool(buf, ClassContextSpecific, 3, true)
+	buf = AppendBytes(buf, ClassContextSpecific, 4, []byte{7})
 	buf = AppendNull(buf, ClassUniversal, TagNull)
 
 	d := NewDecoder(buf)
-	if v, err := d.ExpectInteger(ClassUniversal, TagInteger); err != nil || v != 42 {
-		t.Fatalf("integer: %v %v", v, err)
+	s := d.All()
+	if v := d.Integer(&s, ClassUniversal, TagInteger, Mandatory); v != 42 {
+		t.Fatalf("integer: %v %v", v, d.Err())
 	}
-	if s, err := d.ExpectString(ClassUniversal, TagUTF8String); err != nil || s != "movie" {
-		t.Fatalf("string: %q %v", s, err)
+	if v := d.String(&s, ClassUniversal, TagUTF8String, Mandatory); v != "movie" {
+		t.Fatalf("string: %q %v", v, d.Err())
 	}
-	h, content, err := d.Expect(ClassContextSpecific, 3)
-	if err != nil {
-		t.Fatalf("bool: %v", err)
+	if v := d.Integer(&s, ClassContextSpecific, 2, Optional); v != 0 || d.Err() != nil {
+		t.Fatalf("absent optional integer: %v %v", v, d.Err())
 	}
-	if b, err := ParseBoolContent(content); err != nil || !b || h.Constructed {
-		t.Fatalf("bool content: %v %v", b, err)
+	if v := d.Bool(&s, ClassContextSpecific, 3, Mandatory); !v {
+		t.Fatalf("bool: %v %v", v, d.Err())
 	}
-	if _, _, err := d.Expect(ClassUniversal, TagNull); err != nil {
-		t.Fatalf("null: %v", err)
+	if v := d.Bytes(&s, ClassContextSpecific, 4, Optional); len(v) != 1 || v[0] != 7 || cap(v) != 1 {
+		t.Fatalf("bytes: %x (cap %d) %v", v, cap(v), d.Err())
 	}
-	if d.More() {
-		t.Fatal("decoder has leftover data")
+	if _, ok := d.Element(&s, ClassUniversal, TagNull, Mandatory); !ok {
+		t.Fatalf("null: %v", d.Err())
+	}
+	d.Done(s)
+	if err := d.Err(); err != nil || s.More() {
+		t.Fatalf("decoder has leftover data: %v", err)
 	}
 }
 
 func TestDecoderExpectMismatch(t *testing.T) {
 	buf := AppendInteger(nil, ClassUniversal, TagInteger, 1)
-	d := NewDecoder(buf)
-	if _, _, err := d.Expect(ClassUniversal, TagOctetString); err == nil {
-		t.Fatal("Expect accepted wrong tag")
+	tests := []struct {
+		name string
+		run  func(d *Decoder, s *Span)
+	}{
+		{"wrong tag", func(d *Decoder, s *Span) { d.Bytes(s, ClassUniversal, TagOctetString, Mandatory) }},
+		{"missing", func(d *Decoder, s *Span) {
+			d.Integer(s, ClassUniversal, TagInteger, Mandatory)
+			d.Integer(s, ClassUniversal, TagInteger, Mandatory)
+		}},
+		{"trailing", func(d *Decoder, s *Span) { d.Done(*s) }},
+		{"trailing after skipped optional", func(d *Decoder, s *Span) {
+			d.Integer(s, ClassContextSpecific, 0, Optional)
+			d.Done(*s)
+		}},
+	}
+	for _, tt := range tests {
+		d := NewDecoder(buf)
+		s := d.All()
+		tt.run(&d, &s)
+		if d.Err() == nil {
+			t.Errorf("%s: accepted", tt.name)
+		}
+		// The first error sticks.
+		if v := d.Integer(&s, ClassUniversal, TagInteger, Mandatory); v != 0 || d.Err() == nil {
+			t.Errorf("%s: decoded %d after an error", tt.name, v)
+		}
 	}
 }
 

@@ -126,14 +126,14 @@ func TestDefaultsOmittedAndRestored(t *testing.T) {
 	}
 	// No context tag 0 or 3 on the wire.
 	d := NewDecoder(enc)
-	h, content, err := d.Next()
-	if err != nil || h.Tag != TagSequence {
-		t.Fatalf("outer: %+v %v", h, err)
+	all := d.All()
+	h, inner := d.Next(&all)
+	if d.Err() != nil || h.Tag != TagSequence {
+		t.Fatalf("outer: %+v %v", h, d.Err())
 	}
-	inner := NewDecoder(content)
 	for inner.More() {
-		fh, _, err := inner.Next()
-		if err != nil {
+		fh, _ := d.Next(&inner)
+		if err := d.Err(); err != nil {
 			t.Fatal(err)
 		}
 		if fh.Class == ClassContextSpecific {
@@ -241,19 +241,15 @@ func TestExplicitTag(t *testing.T) {
 	}
 	// Outer SEQUENCE -> [5] constructed -> UNIVERSAL INTEGER.
 	d := NewDecoder(enc)
-	_, content, err := d.Next()
-	if err != nil {
-		t.Fatal(err)
+	all := d.All()
+	_, content := d.Next(&all)
+	h, inner := d.Next(&content)
+	if d.Err() != nil || h.Class != ClassContextSpecific || h.Tag != 5 || !h.Constructed {
+		t.Fatalf("explicit wrapper = %+v, %v", h, d.Err())
 	}
-	d2 := NewDecoder(content)
-	h, inner, err := d2.Next()
-	if err != nil || h.Class != ClassContextSpecific || h.Tag != 5 || !h.Constructed {
-		t.Fatalf("explicit wrapper = %+v, %v", h, err)
-	}
-	d3 := NewDecoder(inner)
-	v, err := d3.ExpectInteger(ClassUniversal, TagInteger)
-	if err != nil || v != 300 {
-		t.Fatalf("inner integer = %d, %v", v, err)
+	v := d.Integer(&inner, ClassUniversal, TagInteger, Mandatory)
+	if d.Err() != nil || v != 300 {
+		t.Fatalf("inner integer = %d, %v", v, d.Err())
 	}
 	got, err := typ.DecodeAll(enc)
 	if err != nil {

@@ -30,7 +30,7 @@ type HotPathResult struct {
 	// BytesPerOp is heap bytes per operation.
 	BytesPerOp int64 `json:"bytes_op"`
 	// MaxAllocs is the path's allocation budget (0 for the pooled/append
-	// paths; the schema reference decoder legitimately allocates).
+	// paths; a decoded PDU is one object plus its one string).
 	MaxAllocs int64 `json:"max_allocs"`
 	// Shape is the qualitative verdict: "ok" when allocs/op is within the
 	// path's budget, "regression" otherwise — the trajectory flag CI tracks.
@@ -213,13 +213,13 @@ func benchMTPRecv(b *testing.B) {
 
 // HotPaths measures every tracked hot path and returns the results in a
 // stable order. The per-path allocation budgets encode the expected shape:
-// the pooled/append paths must stay allocation-free; the schema reference
-// decoder and per-stream setup may allocate a bounded amount.
+// the pooled/append paths must stay allocation-free; the typed PDU decoder
+// and per-stream setup may allocate a bounded amount.
 func HotPaths() []HotPathResult {
 	return []HotPathResult{
 		hotResult("sendselectfire", 0, testing.Benchmark(benchSendSelectFire)),
 		hotResult("pduencode", 0, testing.Benchmark(benchPDUEncode)),
-		hotResult("pdudecode", 64, testing.Benchmark(benchPDUDecode)),
+		hotResult("pdudecode", 2, testing.Benchmark(benchPDUDecode)),
 		hotResult("mtpsendvec", 8, testing.Benchmark(benchMTPSendVec)),
 		hotResult("mtprecv", 2, testing.Benchmark(benchMTPRecv)),
 	}

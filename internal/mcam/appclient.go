@@ -30,6 +30,9 @@ type AppClient struct {
 	events   chan Event
 	aborted  chan struct{}
 	abortOne sync.Once
+	// timer bounds Call's wait for its response (guarded by mu): one per
+	// client, Reset per call and stopped when the call returns.
+	timer *time.Timer
 }
 
 type conResult struct {
@@ -109,6 +112,12 @@ func (c *AppClient) Call(req *Request, timeout time.Duration) (*Response, error)
 	defer c.mu.Unlock()
 	c.invoke++
 	req.InvokeID = c.invoke
+	if c.timer == nil {
+		c.timer = time.NewTimer(timeout)
+	} else {
+		c.timer.Reset(timeout)
+	}
+	defer c.timer.Stop()
 	c.ip.Inject("ARequest", req)
 	select {
 	case resp := <-c.respCh:
@@ -118,7 +127,7 @@ func (c *AppClient) Call(req *Request, timeout time.Duration) (*Response, error)
 		return resp, nil
 	case <-c.aborted:
 		return nil, ErrClosed
-	case <-time.After(timeout):
+	case <-c.timer.C:
 		return nil, fmt.Errorf("%w: %s", ErrTimeout, req.Op)
 	}
 }

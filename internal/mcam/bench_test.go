@@ -26,8 +26,8 @@ func benchPDUs() []*PDU {
 }
 
 // BenchmarkPDUEncodeDecode measures the MCAM PDU codec hot paths: the
-// append-style encoder into a reused buffer, the (schema-driven) reference
-// decoder, and a full round trip.
+// append-style encoder into a reused buffer, the typed decoder, and a full
+// round trip.
 func BenchmarkPDUEncodeDecode(b *testing.B) {
 	pdus := benchPDUs()
 	b.Run("encode", func(b *testing.B) {

@@ -9,9 +9,8 @@ import (
 // This file is the append-path PDU encoder: a hand-specialized two-pass
 // (size, then emit) BER writer over the asn1ber primitives that produces
 // output byte-identical to the schema reference encoder while allocating
-// nothing beyond the destination buffer. The schema codec remains the
-// verified reference — TestAppendMatchesSchemaEncoder proves equivalence
-// over a PDU corpus, and Decode still runs through the schema layer.
+// nothing beyond the destination buffer. TestAppendMatchesSchemaEncoder
+// proves the equivalence over a PDU corpus; pdu_decode.go is its mirror.
 
 // MoviePDU CHOICE alternative tags (implicit, context class).
 const (

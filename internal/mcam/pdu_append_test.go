@@ -55,7 +55,7 @@ func TestAppendMatchesSchemaEncoder(t *testing.T) {
 			continue
 		}
 		if _, err := Decode(fast); err != nil {
-			t.Errorf("corpus[%d]: reference decoder rejects append encoding: %v", i, err)
+			t.Errorf("corpus[%d]: Decode rejects append encoding: %v", i, err)
 		}
 	}
 }

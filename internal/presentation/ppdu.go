@@ -5,16 +5,9 @@
 // layer over the session layer, ASN.1 tooling from refs [9], [16]).
 package presentation
 
-import (
-	"fmt"
-	"sync"
-
-	"xmovie/internal/asn1ber"
-)
-
-// ModuleText is the ASN.1 definition of the presentation PDUs. It is parsed
-// by the asn1ber schema compiler at first use — the runtime analogue of the
-// paper's ASN.1-to-C++ translator step.
+// ModuleText is the ASN.1 definition of the presentation PDUs: the spec of
+// record for the typed codec (ppdu_append.go, ppdu_decode.go), which the
+// tests check against the asn1ber schema codec compiled from it.
 const ModuleText = `
 ISO-Presentation DEFINITIONS ::= BEGIN
   ContextItem ::= SEQUENCE {
@@ -54,19 +47,6 @@ ISO-Presentation DEFINITIONS ::= BEGIN
   }
 END
 `
-
-var compileOnce = sync.OnceValues(func() (*asn1ber.Module, error) {
-	return asn1ber.ParseModule(ModuleText)
-})
-
-// schema returns the compiled PPDU schema.
-func schema() *asn1ber.Module {
-	m, err := compileOnce()
-	if err != nil {
-		panic(fmt.Sprintf("presentation: bad built-in ASN.1 module: %v", err))
-	}
-	return m
-}
 
 // Context is one proposed/negotiated presentation context.
 type Context struct {
@@ -119,110 +99,7 @@ type PPDU struct {
 	ARP *ARP
 }
 
-// Encode produces the BER encoding of the PPDU via the append fast path
-// (see ppdu_append.go). The schema-driven encoder below remains the
-// reference implementation; the two are proven byte-identical by test.
+// Encode produces the BER encoding of the PPDU (see ppdu_append.go).
 func (p *PPDU) Encode() ([]byte, error) {
 	return p.Append(nil)
-}
-
-// encodeSchema produces the BER encoding through the generic schema codec —
-// the verified reference path tests compare Append against.
-func (p *PPDU) encodeSchema() ([]byte, error) {
-	var c asn1ber.Choice
-	switch {
-	case p.CP != nil:
-		items := make([]any, len(p.CP.Contexts))
-		for i, ctx := range p.CP.Contexts {
-			items[i] = map[string]any{"id": ctx.ID, "abstractSyntax": ctx.AbstractSyntax}
-		}
-		v := map[string]any{"contextList": items}
-		if p.CP.CallingSelector != "" {
-			v["callingSelector"] = p.CP.CallingSelector
-		}
-		if p.CP.CalledSelector != "" {
-			v["calledSelector"] = p.CP.CalledSelector
-		}
-		if p.CP.UserData != nil {
-			v["userData"] = p.CP.UserData
-		}
-		c = asn1ber.Choice{Alt: "cp", Value: v}
-	case p.CPA != nil:
-		items := make([]any, len(p.CPA.Results))
-		for i, r := range p.CPA.Results {
-			items[i] = map[string]any{"id": r.ID, "accepted": r.Accepted}
-		}
-		v := map[string]any{"resultList": items}
-		if p.CPA.UserData != nil {
-			v["userData"] = p.CPA.UserData
-		}
-		c = asn1ber.Choice{Alt: "cpa", Value: v}
-	case p.CPR != nil:
-		c = asn1ber.Choice{Alt: "cpr", Value: map[string]any{"reason": p.CPR.Reason}}
-	case p.TD != nil:
-		c = asn1ber.Choice{Alt: "td", Value: map[string]any{
-			"contextID": p.TD.ContextID, "data": p.TD.Data,
-		}}
-	case p.ARP != nil:
-		c = asn1ber.Choice{Alt: "arp", Value: map[string]any{"reason": p.ARP.Reason}}
-	default:
-		return nil, fmt.Errorf("presentation: empty PPDU")
-	}
-	return schema().MustLookup("PPDU").Encode(nil, c)
-}
-
-// Decode parses a BER-encoded PPDU.
-func Decode(data []byte) (*PPDU, error) {
-	v, err := schema().MustLookup("PPDU").DecodeAll(data)
-	if err != nil {
-		return nil, fmt.Errorf("presentation: %w", err)
-	}
-	c := v.(asn1ber.Choice)
-	out := &PPDU{}
-	switch c.Alt {
-	case "cp":
-		m := c.Value.(map[string]any)
-		cp := &CP{}
-		if s, ok := m["callingSelector"].(string); ok {
-			cp.CallingSelector = s
-		}
-		if s, ok := m["calledSelector"].(string); ok {
-			cp.CalledSelector = s
-		}
-		for _, item := range m["contextList"].([]any) {
-			im := item.(map[string]any)
-			cp.Contexts = append(cp.Contexts, Context{
-				ID:             im["id"].(int64),
-				AbstractSyntax: im["abstractSyntax"].(string),
-			})
-		}
-		if b, ok := m["userData"].([]byte); ok {
-			cp.UserData = b
-		}
-		out.CP = cp
-	case "cpa":
-		m := c.Value.(map[string]any)
-		cpa := &CPA{}
-		for _, item := range m["resultList"].([]any) {
-			im := item.(map[string]any)
-			cpa.Results = append(cpa.Results, Result{
-				ID:       im["id"].(int64),
-				Accepted: im["accepted"].(bool),
-			})
-		}
-		if b, ok := m["userData"].([]byte); ok {
-			cpa.UserData = b
-		}
-		out.CPA = cpa
-	case "cpr":
-		out.CPR = &CPR{Reason: c.Value.(map[string]any)["reason"].(string)}
-	case "td":
-		m := c.Value.(map[string]any)
-		out.TD = &TD{ContextID: m["contextID"].(int64), Data: m["data"].([]byte)}
-	case "arp":
-		out.ARP = &ARP{Reason: c.Value.(map[string]any)["reason"].(string)}
-	default:
-		return nil, fmt.Errorf("presentation: unknown PPDU alternative %q", c.Alt)
-	}
-	return out, nil
 }

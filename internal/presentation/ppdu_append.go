@@ -8,9 +8,8 @@ import (
 
 // This file is the append-path PPDU encoder: a hand-specialized two-pass
 // (size, then emit) BER writer producing output byte-identical to the
-// schema reference encoder without the map[string]any value layer. The
-// schema codec remains the verified reference decoder and the encode
-// equivalence oracle (TestAppendMatchesSchemaEncoder).
+// schema reference encoder without the map[string]any value layer
+// (TestAppendMatchesSchemaEncoder); ppdu_decode.go is its mirror.
 
 // PPDU CHOICE alternative tags (implicit, context class).
 const (

@@ -32,8 +32,8 @@ func appendCorpus() []*PPDU {
 }
 
 // TestAppendMatchesSchemaEncoder proves the append fast path and the
-// schema reference encoder produce byte-identical output, and that the
-// reference decoder accepts the result.
+// schema reference encoder produce byte-identical output, and that Decode
+// accepts the result.
 func TestAppendMatchesSchemaEncoder(t *testing.T) {
 	for i, p := range appendCorpus() {
 		ref, err := p.encodeSchema()
@@ -49,7 +49,7 @@ func TestAppendMatchesSchemaEncoder(t *testing.T) {
 			continue
 		}
 		if _, err := Decode(fast); err != nil {
-			t.Errorf("corpus[%d]: reference decoder rejects append encoding: %v", i, err)
+			t.Errorf("corpus[%d]: Decode rejects append encoding: %v", i, err)
 		}
 	}
 }

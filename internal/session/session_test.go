@@ -2,6 +2,7 @@ package session
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -71,6 +72,36 @@ func TestParseErrors(t *testing.T) {
 		if _, err := Parse(tt.data); err == nil {
 			t.Errorf("%s: accepted %x", tt.name, tt.data)
 		}
+	}
+}
+
+// FuzzParse: Parse never panics, and an SPDU it accepts encodes to bytes
+// that parse back to the same SPDU. Its seeds, in testdata/fuzz/FuzzParse,
+// are the SPDUs of the tests above.
+func FuzzParse(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := Parse(data)
+		if err != nil {
+			return
+		}
+		back, err := Parse(s.Encode(nil))
+		if err != nil || !reflect.DeepEqual(back, s) {
+			t.Fatalf("Parse(%x) = %+v; re-encoded it parses to %+v, %v", data, s, back, err)
+		}
+	})
+}
+
+// TestSPDUParseAllocs is the allocation guard of Parse on the data path: a
+// DT SPDU is one object, its user data aliasing the input.
+func TestSPDUParseAllocs(t *testing.T) {
+	enc := (&SPDU{Type: SPDUData}).With(PIUserData, []byte("ppdu-bytes")).Encode(nil)
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := Parse(enc); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 1 {
+		t.Fatalf("DT Parse allocates %.1f times, want 1", allocs)
 	}
 }
 

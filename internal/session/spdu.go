@@ -119,12 +119,23 @@ func (s *SPDU) Encode(dst []byte) []byte {
 	return dst
 }
 
+// parsedSPDU is what Parse allocates: the SPDU with room for its first
+// parameters beside it, so that an SPDU carrying at most two (a DT carries
+// one, a CN two) is one object.
+type parsedSPDU struct {
+	s      SPDU
+	inline [2]Param
+}
+
 // Parse decodes one SPDU occupying the whole of data.
+//
+// The parameter values alias data (each capped at its own length), so the
+// caller must own data and leave it unchanged while the SPDU is in use: both
+// stacks parse the buffer transport.Conn.Recv handed over.
 func Parse(data []byte) (*SPDU, error) {
 	if len(data) < 2 {
 		return nil, fmt.Errorf("%w: %d octets", ErrBadSPDU, len(data))
 	}
-	s := &SPDU{Type: SPDUType(data[0])}
 	body, rest, err := readLV(data[1:])
 	if err != nil {
 		return nil, err
@@ -132,6 +143,8 @@ func Parse(data []byte) (*SPDU, error) {
 	if len(rest) != 0 {
 		return nil, fmt.Errorf("%w: %d trailing octets", ErrBadSPDU, len(rest))
 	}
+	o := &parsedSPDU{s: SPDU{Type: SPDUType(data[0])}}
+	params := o.inline[:0]
 	for len(body) > 0 {
 		if len(body) < 2 {
 			return nil, fmt.Errorf("%w: truncated parameter", ErrBadSPDU)
@@ -141,12 +154,13 @@ func Parse(data []byte) (*SPDU, error) {
 		if err != nil {
 			return nil, err
 		}
-		cp := make([]byte, len(val))
-		copy(cp, val)
-		s.Params = append(s.Params, Param{PI: pi, Value: cp})
+		params = append(params, Param{PI: pi, Value: val[:len(val):len(val)]})
 		body = next
 	}
-	return s, nil
+	if len(params) > 0 {
+		o.s.Params = params
+	}
+	return &o.s, nil
 }
 
 // readLV reads a BER length then that many octets.
