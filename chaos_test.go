@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -175,13 +176,21 @@ func synthFrames(t *testing.T, name string, frames, rate int) [][]byte {
 	return out
 }
 
-// TestReconnectResumesAfterServerRestart is the tentpole's client-side
-// story end to end: a server dies mid-stream; the ReconnectClient redials
-// with backoff, re-selects, and resumes the play from the receiver's
-// contiguous progress; the delivered frame sequence is byte-identical to an
-// uninterrupted run, with zero duplicates.
+// TestReconnectResumesAfterServerRestart is the client-side recovery story
+// end to end: a server dies mid-stream with a herd of other ReconnectClients
+// associated; after the restart every herd member's next call reconnects
+// inside the backoff envelope, and the streaming client redials,
+// re-selects, and resumes the play from the receiver's contiguous progress;
+// the delivered frame sequence is byte-identical to an uninterrupted run,
+// with zero duplicates, and nothing leaks a goroutine.
 func TestReconnectResumesAfterServerRestart(t *testing.T) {
-	const totalFrames, rate = 300, 100
+	const (
+		totalFrames, rate = 300, 100
+		herdSize          = 64
+		herdBackoffBase   = 25 * time.Millisecond
+		herdBackoffMax    = 2 * time.Second
+	)
+	checkNoLeakedGoroutines(t)
 	store := xmovie.NewMemStore()
 	if err := store.Create(xmovie.SynthMovie("film", totalFrames, rate)); err != nil {
 		t.Fatal(err)
@@ -202,13 +211,14 @@ func TestReconnectResumesAfterServerRestart(t *testing.T) {
 
 	var addrMu sync.Mutex
 	addr := srv.Addr()
+	dial := func() (*xmovie.Client, error) {
+		addrMu.Lock()
+		a := addr
+		addrMu.Unlock()
+		return xmovie.Dial(a, xmovie.ClientConfig{CallTimeout: 2 * time.Second})
+	}
 	rc, err := xmovie.NewReconnectClient(xmovie.ReconnectConfig{
-		Dial: func() (*xmovie.Client, error) {
-			addrMu.Lock()
-			a := addr
-			addrMu.Unlock()
-			return xmovie.Dial(a, xmovie.ClientConfig{CallTimeout: 2 * time.Second})
-		},
+		Dial:        dial,
 		BackoffBase: 20 * time.Millisecond,
 		Seed:        42,
 	})
@@ -219,6 +229,34 @@ func TestReconnectResumesAfterServerRestart(t *testing.T) {
 
 	if _, _, err := rc.Select("film"); err != nil {
 		t.Fatal(err)
+	}
+
+	// The herd: associated (with a movie selected) when the server dies.
+	var maxAttempt atomic.Int64
+	herd := make([]*xmovie.ReconnectClient, herdSize)
+	for i := range herd {
+		member, err := xmovie.NewReconnectClient(xmovie.ReconnectConfig{
+			Dial:        dial,
+			BackoffBase: herdBackoffBase,
+			BackoffMax:  herdBackoffMax,
+			MaxAttempts: 12,
+			Seed:        int64(i + 1),
+			OnRedial: func(attempt int, _ time.Duration, _ error) {
+				for old := maxAttempt.Load(); int64(attempt) > old; old = maxAttempt.Load() {
+					if maxAttempt.CompareAndSwap(old, int64(attempt)) {
+						return
+					}
+				}
+			},
+		})
+		if err != nil {
+			t.Fatalf("herd member %d: %v", i, err)
+		}
+		defer member.Close()
+		if _, _, err := member.Select("film"); err != nil {
+			t.Fatalf("herd member %d select: %v", i, err)
+		}
+		herd[i] = member
 	}
 	end, err := sim.Listen("rc/v", netsim.Config{})
 	if err != nil {
@@ -266,6 +304,40 @@ func TestReconnectResumesAfterServerRestart(t *testing.T) {
 	addrMu.Lock()
 	addr = srv.Addr()
 	addrMu.Unlock()
+
+	// The stampede: every herd member finds its association dead on its
+	// next call and redials, all at once.
+	restartAt := time.Now()
+	took := make([]time.Duration, herdSize)
+	var wg sync.WaitGroup
+	for i, member := range herd {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := member.List(); err != nil {
+				t.Errorf("herd member %d did not reconnect: %v", i, err)
+			}
+			took[i] = time.Since(restartAt)
+		}()
+	}
+	wg.Wait()
+	// The envelope: the cumulative backoff of the deepest attempt any member
+	// needed (jitter only shortens waits), plus a second and 2 ms per client
+	// for the all-at-once storm to find a CPU.
+	envelope := time.Second + herdSize*2*time.Millisecond
+	for a := 1; a <= int(maxAttempt.Load()); a++ {
+		envelope += min(herdBackoffBase<<(a-1), herdBackoffMax)
+	}
+	for i, d := range took {
+		if d > envelope {
+			t.Errorf("herd member %d reconnected after %v, outside the backoff envelope %v", i, d, envelope)
+		}
+	}
+	t.Logf("herd of %d reconnected: slowest %v, deepest redial attempt %d, envelope %v",
+		herdSize, slices.Max(took).Round(time.Millisecond), maxAttempt.Load(), envelope)
+	if st := srv.Observe().Sessions; st.Rejected != 0 {
+		t.Errorf("restarted server rejected %d connections", st.Rejected)
+	}
 
 	done = recv()
 	if _, err := rc.ResumeLastPlay(delivered); err != nil {
@@ -341,7 +413,7 @@ func TestReconnectHonorsBusy(t *testing.T) {
 // unwedgeable, so Drain converges promptly and no goroutines are left
 // behind.
 func TestDrainConvergesUnderChaos(t *testing.T) {
-	before := runtime.NumGoroutine()
+	checkNoLeakedGoroutines(t)
 
 	store := xmovie.NewMemStore()
 	if err := store.Create(xmovie.SynthMovie("film", 5000, 100)); err != nil {
@@ -391,85 +463,182 @@ func TestDrainConvergesUnderChaos(t *testing.T) {
 		_ = c.Close()
 	}
 	sim.Close()
-
-	// Every stream, session, pump and bounded-read worker must unwind; the
-	// faulty store's injected sleeps bound how long that can take.
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		if runtime.NumGoroutine() <= before+2 {
-			return
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-	buf := make([]byte, 1<<20)
-	t.Fatalf("goroutines leaked: %d before, %d after\n%s",
-		before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
 }
 
-// TestPartitionHealMidStream is the small partition-and-heal case CI runs
-// under -race: a live stream's link partitions mid-flight and heals; the
-// stream still terminates cleanly, the receiver books the outage as loss
-// (never a hang), and traffic flows again after the heal.
-func TestPartitionHealMidStream(t *testing.T) {
-	const totalFrames, rate = 400, 200
-	store := xmovie.NewMemStore()
-	if err := store.Create(xmovie.SynthMovie("film", totalFrames, rate)); err != nil {
-		t.Fatal(err)
-	}
-	sim := xmovie.NewSimNet()
-	defer sim.Close()
-	srv, err := xmovie.ListenAndServe(xmovie.ServerConfig{
-		Addr: "127.0.0.1:0",
-		Env:  &xmovie.ServerEnv{Store: store, Dialer: sim},
+// checkNoLeakedGoroutines fails t unless, once t and its deferred closes
+// have finished, the goroutine count falls back to what it is now: every
+// stream, session, pump and bounded-read worker must unwind. Injected
+// stalls and backoff sleeps bound how long that can take.
+func checkNoLeakedGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	t.Cleanup(func() {
+		deadline := time.Now().Add(10 * time.Second)
+		for time.Now().Before(deadline) {
+			if runtime.NumGoroutine() <= before+2 {
+				return
+			}
+			time.Sleep(50 * time.Millisecond)
+		}
+		buf := make([]byte, 1<<20)
+		t.Errorf("goroutines leaked: %d before, %d after\n%s",
+			before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+}
 
-	end, err := sim.Listen("ph/v", netsim.Config{})
-	if err != nil {
-		t.Fatal(err)
+// TestStreamFaultShapes plays one paced stream per fault on both stacks and
+// asserts the degradation contract of each: whatever the fault, the stream
+// terminates, and the receiver's accounting shows the fault's own shape.
+//
+//   - slow-disk: a FaultStore stalls ~15% of reads for 50 ms under a 20 ms
+//     StreamReadTimeout; the stalls become skipped frames (loss), never a
+//     wedged sender.
+//   - partition-heal: the link partitions for 250 ms mid-flight and heals;
+//     the outage is booked as loss and traffic flows again after the heal.
+//   - latency-spike: the link gains 60 ms of latency for 300 ms; delivery
+//     stalls visibly but latency alone loses nothing.
+func TestStreamFaultShapes(t *testing.T) {
+	const (
+		frames, rate = 240, 120
+		// warmFrames are delivered before a link fault is injected.
+		warmFrames = 50
+		spikeExtra = 60 * time.Millisecond
+	)
+	cases := []struct {
+		name string
+		// slowDisk serves the movie through a stalling store under a
+		// bounded StreamReadTimeout.
+		slowDisk bool
+		// fault, when non-nil, is applied to the stream's link once
+		// warmFrames have arrived.
+		fault func(*netsim.Link)
+		// check judges the receiver's stats, the delivery count when the
+		// fault was injected and the longest gap between two deliveries.
+		check func(t *testing.T, st mtp.RecvStats, atFault int64, maxGap time.Duration)
+	}{
+		{
+			name:     "slow-disk",
+			slowDisk: true,
+			check: func(t *testing.T, st mtp.RecvStats, _ int64, _ time.Duration) {
+				if st.Lost == 0 {
+					t.Error("no frames skipped — the injected stalls never bit")
+				}
+				if st.Delivered == 0 {
+					t.Error("nothing delivered — the stream wedged instead of degrading")
+				}
+				if st.Delivered+st.Lost != frames {
+					t.Errorf("accounting: delivered %d + lost %d != %d", st.Delivered, st.Lost, frames)
+				}
+			},
+		},
+		{
+			name:  "partition-heal",
+			fault: func(l *netsim.Link) { l.Partition(250 * time.Millisecond) }, // auto-heals
+			check: func(t *testing.T, st mtp.RecvStats, atFault int64, _ time.Duration) {
+				if st.Lost == 0 {
+					t.Error("partition cost no frames — it never bit")
+				}
+				if st.Delivered+st.Lost < frames {
+					t.Errorf("accounting hole: delivered %d + lost %d < %d", st.Delivered, st.Lost, frames)
+				}
+				if int64(st.Delivered) <= atFault {
+					t.Errorf("no traffic after heal (delivered %d, %d before the partition)", st.Delivered, atFault)
+				}
+			},
+		},
+		{
+			name:  "latency-spike",
+			fault: func(l *netsim.Link) { l.Spike(spikeExtra, 300*time.Millisecond) }, // auto-reverts
+			check: func(t *testing.T, st mtp.RecvStats, _ int64, maxGap time.Duration) {
+				if st.Lost != 0 || st.Delivered != frames {
+					t.Errorf("delivered %d, lost %d — latency alone must lose nothing (want %d/0)", st.Delivered, st.Lost, frames)
+				}
+				if maxGap < spikeExtra*2/3 {
+					t.Errorf("max inter-arrival gap %v — the spike never bit", maxGap)
+				}
+			},
+		},
 	}
-	var delivered atomic.Int64
-	done := make(chan mtp.RecvStats, 1)
-	go func() {
-		st, _ := mtp.ReceiveStream(end, mtp.ReceiverConfig{}, func(mtp.Frame) {
-			delivered.Add(1)
-		})
-		done <- st
-	}()
+	for _, tc := range cases {
+		for _, s := range stacks {
+			t.Run(tc.name+"/"+s.name, func(t *testing.T) {
+				t.Parallel()
+				var store xmovie.Store = xmovie.NewMemStore()
+				if err := store.Create(xmovie.SynthMovie("film", frames, rate)); err != nil {
+					t.Fatal(err)
+				}
+				var limits xmovie.Limits
+				if tc.slowDisk {
+					store = chaos.NewFaultStore(store, chaos.FaultConfig{
+						Seed: 17, SlowProb: 0.15, SlowDelay: 50 * time.Millisecond,
+					})
+					limits.StreamReadTimeout = 20 * time.Millisecond
+				}
+				sim := xmovie.NewSimNet()
+				defer sim.Close()
+				srv, err := xmovie.ListenAndServe(xmovie.ServerConfig{
+					Addr:   "127.0.0.1:0",
+					Stack:  s.stack,
+					Env:    &xmovie.ServerEnv{Store: store, Dialer: sim},
+					Limits: limits,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer srv.Close()
 
-	client, err := xmovie.Dial(srv.Addr(), xmovie.ClientConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-	if _, err := client.Play("film", "ph/v"); err != nil {
-		t.Fatal(err)
-	}
-	for delivered.Load() < 50 {
-		time.Sleep(2 * time.Millisecond)
-	}
-	link, ok := sim.Link("ph/v")
-	if !ok {
-		t.Fatal("no link for ph/v")
-	}
-	link.Partition(250 * time.Millisecond) // auto-heals
+				end, err := sim.Listen("fault/v", netsim.Config{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				// The deliver callback runs on the receiver's goroutine;
+				// maxGap is read after the stats arrive on done, which
+				// orders the two.
+				var delivered atomic.Int64
+				var last time.Time
+				var maxGap time.Duration
+				done := make(chan mtp.RecvStats, 1)
+				go func() {
+					st, _ := mtp.ReceiveStream(end, mtp.ReceiverConfig{}, func(mtp.Frame) {
+						now := time.Now()
+						if !last.IsZero() && now.Sub(last) > maxGap {
+							maxGap = now.Sub(last)
+						}
+						last = now
+						delivered.Add(1)
+					})
+					done <- st
+				}()
 
-	select {
-	case st := <-done:
-		if st.Lost == 0 {
-			t.Error("partition cost no frames — it never bit")
+				client, err := xmovie.Dial(srv.Addr(), xmovie.ClientConfig{Stack: s.stack})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer client.Close()
+				if _, err := client.Play("film", "fault/v"); err != nil {
+					t.Fatal(err)
+				}
+				var atFault int64
+				if tc.fault != nil {
+					for delivered.Load() < warmFrames {
+						time.Sleep(2 * time.Millisecond)
+					}
+					link, ok := sim.Link("fault/v")
+					if !ok {
+						t.Fatal("no link for fault/v")
+					}
+					atFault = delivered.Load()
+					tc.fault(link)
+				}
+
+				select {
+				case st := <-done:
+					t.Logf("delivered %d, lost %d of %d; longest gap %v",
+						st.Delivered, st.Lost, frames, maxGap.Round(time.Millisecond))
+					tc.check(t, st, atFault, maxGap)
+				case <-time.After(30 * time.Second):
+					t.Fatal("stream never terminated")
+				}
+			})
 		}
-		if st.Delivered+st.Lost < totalFrames {
-			t.Errorf("accounting hole: delivered %d + lost %d < %d", st.Delivered, st.Lost, totalFrames)
-		}
-		atHeal := delivered.Load()
-		if int64(st.Delivered) <= atHeal-50 {
-			t.Errorf("no traffic after heal (delivered %d)", st.Delivered)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("stream never terminated across the partition")
 	}
 }

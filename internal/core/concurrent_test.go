@@ -42,7 +42,9 @@ func loadEnv(t *testing.T) (*mcam.ServerEnv, *mcam.SimNet) {
 // TestConcurrentSessions runs ≥64 concurrent clients over the in-memory
 // transport through a full browse→order→play→pause→resume→stop scenario on
 // both stacks, asserting zero errors — the tier-1 guard for the
-// connection-manager refactor. Short-mode friendly (a few seconds).
+// connection-manager refactor. Every client waits after its dial until all
+// are open, so the server's peak really is all of them at once.
+// Short-mode friendly (a few seconds).
 func TestConcurrentSessions(t *testing.T) {
 	const clients = 64
 	for _, stack := range []StackKind{StackGenerated, StackHandcoded} {
@@ -54,13 +56,14 @@ func TestConcurrentSessions(t *testing.T) {
 			}
 			defer srv.Close()
 
-			var wg sync.WaitGroup
+			var wg, open sync.WaitGroup
+			open.Add(clients)
 			errs := make([]error, clients)
 			for i := 0; i < clients; i++ {
 				wg.Add(1)
 				go func(i int) {
 					defer wg.Done()
-					errs[i] = runScenario(srv, sim, stack, i)
+					errs[i] = runScenario(srv, sim, stack, i, &open)
 				}(i)
 			}
 			wg.Wait()
@@ -73,16 +76,27 @@ func TestConcurrentSessions(t *testing.T) {
 			if st.Accepted != clients || st.Rejected != 0 {
 				t.Errorf("stats = %+v, want %d accepted / 0 rejected", st, clients)
 			}
+			if st.Peak != clients {
+				t.Errorf("peak active sessions = %d, want all %d open at once", st.Peak, clients)
+			}
 			// Every session's teardown completes once the clients are gone.
 			waitFor(t, 10*time.Second, func() bool { return srv.Observe().Sessions.Active == 0 })
 		})
 	}
 }
 
-// runScenario is one session: browse the catalogue, order (create/select/
-// modify) a movie of its own, play the feature with pause/resume, stop, and
-// release.
-func runScenario(srv *Server, sim *mcam.SimNet, stack StackKind, i int) error {
+// runScenario is one session: dial, wait at the open barrier until every
+// session has dialed, browse the catalogue, order (create/select/modify) a
+// movie of its own, play the feature with pause/resume, stop, and release.
+func runScenario(srv *Server, sim *mcam.SimNet, stack StackKind, i int, open *sync.WaitGroup) error {
+	arrived := false
+	arrive := func() {
+		if !arrived {
+			arrived = true
+			open.Done()
+		}
+	}
+	defer arrive() // a failed dial must not wedge the other sessions
 	cliEnd, srvEnd := transport.Pipe(0)
 	if err := srv.ServeConn(srvEnd); err != nil {
 		return fmt.Errorf("serve: %w", err)
@@ -97,6 +111,8 @@ func runScenario(srv *Server, sim *mcam.SimNet, stack StackKind, i int) error {
 			client.Close()
 		}
 	}()
+	arrive()
+	open.Wait()
 
 	// Browse.
 	resp, err := client.Call(&mcam.Request{Op: mcam.OpListMovies})

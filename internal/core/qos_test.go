@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -242,6 +243,146 @@ func TestTenantBandwidthCap(t *testing.T) {
 			// scheduler jitter, worse when the whole suite runs in parallel.
 			if ts.Streams.Late > frames/4 {
 				t.Errorf("cap waits booked as %d late frames", ts.Streams.Late)
+			}
+		})
+	}
+}
+
+// TestTenantIsolation verifies that bandwidth caps are per class and
+// isolate the classes, on both stacks: two classes ("gold" 512 KiB/s, "free"
+// 256 KiB/s) each stream an unpaced movie over two concurrent sessions
+// sharing their class's limiter, and each class's aggregate rate lands
+// within ±10% of its own cap — neither starved by the other nor stealing
+// past it — with nothing dropped.
+func TestTenantIsolation(t *testing.T) {
+	const (
+		streamsPerClass = 2
+		frames          = 48
+		frameSize       = 8 << 10
+		burst           = 8 << 10
+		tolerance       = 0.10
+	)
+	caps := map[string]int64{"gold": 512 << 10, "free": 256 << 10}
+	for _, stack := range []StackKind{StackGenerated, StackHandcoded} {
+		t.Run(stack.String(), func(t *testing.T) {
+			t.Parallel()
+			store := moviedb.NewShardedStore(0)
+			m := moviedb.SynthesizeLazy(moviedb.SynthConfig{Name: "flat", Frames: frames, FrameSize: frameSize})
+			m.FrameRate = 0 // unpaced: the caps are the only pacing
+			if err := store.Create(m); err != nil {
+				t.Fatal(err)
+			}
+			sim := mcam.NewSimNet()
+			t.Cleanup(sim.Close)
+			policy := qos.Policy{Tenants: map[string]qos.Class{}}
+			for name, bps := range caps {
+				policy.Tenants[name] = qos.Class{Name: name, StreamBandwidth: bps, Burst: burst}
+			}
+			srv, err := NewServer(ServerConfig{
+				Stack: stack, Env: &mcam.ServerEnv{Store: store, Dialer: sim},
+				Limits: Limits{QoS: policy},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+
+			// stream plays the movie once for tenant and returns the bytes
+			// the receiver got.
+			stream := func(tenant string, k int) (int64, error) {
+				cliEnd, srvEnd := transport.Pipe(0)
+				if err := srv.ServeConnFor(srvEnd, tenant); err != nil {
+					cliEnd.Close()
+					return 0, err
+				}
+				client, err := NewClientConn(cliEnd, ClientConfig{Stack: stack})
+				if err != nil {
+					return 0, err
+				}
+				defer client.Close()
+				addr := fmt.Sprintf("%s-%d/video", tenant, k)
+				end, err := sim.Listen(addr, netsim.Config{})
+				if err != nil {
+					return 0, err
+				}
+				done := make(chan mtp.RecvStats, 1)
+				go func() {
+					st, _ := mtp.ReceiveStream(end, mtp.ReceiverConfig{}, nil)
+					done <- st
+				}()
+				resp, err := client.Call(&mcam.Request{Op: mcam.OpPlay, Movie: "flat", StreamAddr: addr})
+				if err != nil || !resp.OK() {
+					return 0, fmt.Errorf("play = %+v, %v", resp, err)
+				}
+				select {
+				case st := <-done:
+					if st.Delivered != frames {
+						return 0, fmt.Errorf("delivered %d/%d frames", st.Delivered, frames)
+					}
+					return st.Bytes, nil
+				case <-time.After(30 * time.Second):
+					return 0, fmt.Errorf("capped stream did not finish")
+				}
+			}
+
+			// Both classes stream at once; a class's rate is its bytes over
+			// the time from the common start to its last delivery.
+			type class struct {
+				bytes   int64
+				elapsed time.Duration
+			}
+			got := map[string]*class{"gold": {}, "free": {}}
+			var mu sync.Mutex
+			var wg sync.WaitGroup
+			start := time.Now()
+			for tenant := range caps {
+				for k := 0; k < streamsPerClass; k++ {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						n, err := stream(tenant, k)
+						if err != nil {
+							t.Errorf("%s stream %d: %v", tenant, k, err)
+							return
+						}
+						mu.Lock()
+						c := got[tenant]
+						c.bytes += n
+						c.elapsed = max(c.elapsed, time.Since(start))
+						mu.Unlock()
+					}()
+				}
+			}
+			wg.Wait()
+			if t.Failed() {
+				return
+			}
+			waitFor(t, 5*time.Second, func() bool {
+				o := srv.Observe()
+				return o.Tenants["gold"].Streams.Streams == streamsPerClass &&
+					o.Tenants["free"].Streams.Streams == streamsPerClass
+			})
+			o := srv.Observe()
+			for tenant, bps := range caps {
+				rate := float64(got[tenant].bytes) / got[tenant].elapsed.Seconds()
+				lo, hi := float64(bps)*(1-tolerance), float64(bps)*(1+tolerance)
+				if rate < lo || rate > hi {
+					t.Errorf("%s throughput %.0f B/s outside ±%.0f%% of its cap %d B/s",
+						tenant, rate, tolerance*100, bps)
+				}
+				ts := o.Tenants[tenant]
+				t.Logf("%s: %.0f B/s, %+.1f%% of its cap; %d throttle waits",
+					tenant, rate, (rate/float64(bps)-1)*100, ts.Throttle.Waits)
+				if ts.Throttle.Waits == 0 {
+					t.Errorf("%s cap imposed no waits: %+v", tenant, ts.Throttle)
+				}
+				if ts.Throttle.Bytes != streamsPerClass*frames*frameSize {
+					t.Errorf("%s throttle granted %d bytes, want %d",
+						tenant, ts.Throttle.Bytes, streamsPerClass*frames*frameSize)
+				}
+				if ts.Streams.Dropped != 0 {
+					t.Errorf("%s dropped %d frames", tenant, ts.Streams.Dropped)
+				}
 			}
 		})
 	}

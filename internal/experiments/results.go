@@ -1,7 +1,8 @@
 // Package experiments regenerates every table, figure and measured result
 // of the paper. Each experiment returns a Result whose rows mirror what the
-// paper reports; bench_test.go at the repository root and cmd/mcambench
-// drive them. EXPERIMENTS.md records paper-claim versus measured shape.
+// paper reports; the package's tests run them and print each table
+// (go test -v ./internal/experiments). EXPERIMENTS.md records paper-claim
+// versus measured shape.
 package experiments
 
 import (

@@ -217,9 +217,8 @@ func TestDeleteDuringLiveBroadcast(t *testing.T) {
 }
 
 // TestLiveBroadcastFanOut drives one broadcast into a pool of concurrent
-// viewers joining in two waves. Kept small enough to run under the race
-// detector (see the Makefile's load-broadcast target); mcamload's
-// broadcast scenario covers the thousands-of-viewers scale.
+// viewers joining in two waves, late joiners byte-identical to the sealed
+// recording. Kept small enough to run under the race detector.
 func TestLiveBroadcastFanOut(t *testing.T) {
 	bothStacks(t, liveEnv, func(t *testing.T, c caller, env *ServerEnv, sim *SimNet, prefix string) {
 		const (
