@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test test-short verify fmt-check vet lint cross generate generate-check \
+.PHONY: build test test-short race-wake verify fmt-check vet lint cross generate generate-check \
 	metrics-guard bench-check bench-smoke bench-guard fuzz-smoke ci
 
 build:
@@ -16,6 +16,13 @@ test:
 # detector job uses it so the full matrix stays fast.
 test-short:
 	$(GO) test -short -race ./...
+
+# The wake-discipline and pipe-push tests, twenty times under the race
+# detector: a lost wake or a misordered delivery shows as an intermittent
+# stall, which one run may not hit.
+race-wake:
+	$(GO) test -race -count=20 -run='TestNoLostWake|TestLazyClockMaturesDelayWhileBusy|TestSchedulerReadsNoClockWithoutDelays' ./internal/estelle
+	$(GO) test -race -count=20 -run='TestPipePush|TestPipeSendAfterPeerCloseFails|TestTPKTReportsEOFOnce|TestConnProviderBridgesRealPipe' ./internal/transport
 
 # Tier-1 verify: exactly what reviewers and the CI gate run.
 verify: build test metrics-guard lint bench-check
@@ -79,16 +86,16 @@ bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
 
 # Hot-path guard: allocation-regression tests (pooled runtime cycle,
-# append-path encoders and typed decoders of the three PDU layers, MTP
-# stream paths — including the FrameSource send
+# append-path encoders and typed decoders of the three PDU layers, the
+# deadline conn's receive under a deadline, MTP stream paths — including the FrameSource send
 # path, the paced emit path stepped by the timer wheel, the zero-copy
 # batched send path with its syscall-count bound and the UDP conn's
 # SendBatch/TryRecv — and the disk store's cached read path) +
 # append-vs-schema byte-identity proofs, the cold/cached disk-read
 # benchmark and the directory's Add+Remove at 1k and 16k entries.
 bench-guard:
-	$(GO) test -run='TestSendSelectFireAllocs|TestPDUEncodeAllocs|TestPPDUEncodeAllocs|TestPDUDecodeAllocs|TestPPDUDecodeAllocs|TestSPDUParseAllocs|TestStreamPathAllocs|TestFrameSourceSendAllocs|TestPacedEmitAllocs|TestLiveTailSendAllocs|TestBatchedSendAllocs|TestBatchedSendSyscalls|TestUDPConnAllocs|TestDiskCachedReadAllocs|TestAppendMatchesSchemaEncoder' \
-		./internal/estelle ./internal/mcam ./internal/presentation ./internal/session ./internal/mtp ./internal/moviedb
+	$(GO) test -run='TestSendSelectFireAllocs|TestPDUEncodeAllocs|TestPPDUEncodeAllocs|TestPDUDecodeAllocs|TestPPDUDecodeAllocs|TestSPDUParseAllocs|TestStreamPathAllocs|TestFrameSourceSendAllocs|TestPacedEmitAllocs|TestLiveTailSendAllocs|TestBatchedSendAllocs|TestBatchedSendSyscalls|TestUDPConnAllocs|TestDiskCachedReadAllocs|TestAppendMatchesSchemaEncoder|TestDeadlineRecvAllocs' \
+		./internal/estelle ./internal/mcam ./internal/presentation ./internal/session ./internal/mtp ./internal/moviedb ./internal/transport
 	$(GO) test -run='^$$' -bench='BenchmarkDiskStream|BenchmarkDSARemove' -benchtime=10x -benchmem ./internal/moviedb ./internal/directory
 
 # Fuzz smoke: each native fuzz target for ten seconds — the typed MCAM and
@@ -103,4 +110,4 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=10s ./internal/session
 
 # Everything CI checks, locally.
-ci: fmt-check vet lint cross bench-check build generate-check test-short test fuzz-smoke bench-smoke bench-guard
+ci: fmt-check vet lint cross bench-check build generate-check test-short race-wake test fuzz-smoke bench-smoke bench-guard

@@ -61,50 +61,21 @@ type SessionStats struct {
 	Busy int64
 }
 
-// managedConn wraps a transport.Conn and closes done exactly once when the
-// connection is finished — peer EOF, a receive error, or a local Close. The
-// connection manager keys session teardown off that signal: by the time the
-// transport is gone, everything the entity had to say is on the wire (or
-// lost with it), so releasing the entity cannot cut off a response.
-type managedConn struct {
-	transport.Conn
-	once sync.Once
-	done chan struct{}
-}
-
-func newManagedConn(c transport.Conn) *managedConn {
-	return &managedConn{Conn: c, done: make(chan struct{})}
-}
-
-func (c *managedConn) signal() { c.once.Do(func() { close(c.done) }) }
-
-// Recv implements transport.Conn, signalling on the first receive error.
-func (c *managedConn) Recv() ([]byte, error) {
-	p, err := c.Conn.Recv()
-	if err != nil {
-		c.signal()
-	}
-	return p, err
-}
-
-// Close implements transport.Conn.
-func (c *managedConn) Close() error {
-	err := c.Conn.Close()
-	c.signal()
-	return err
-}
-
 // session is one admitted control connection.
 type srvSession struct {
 	id   int64
-	conn *managedConn
-	// dead is closed when the server MCA reports release or abort
-	// (generated stack only).
-	dead     chan struct{}
-	deadOnce sync.Once
+	conn transport.Conn
+	// mu guards dead and reaper (generated stack only). dead records that
+	// the server MCA reported release or abort. reaper is armed when the
+	// transport is gone: by then everything the entity had to say is on
+	// the wire (or lost with it), so releasing the entity cannot cut off a
+	// response.
+	mu     sync.Mutex
+	dead   bool
+	reaper *time.Timer
 	// force is the generated-stack handle for tearing down the session's
 	// streams when the entity never reached its own release path. Set
-	// during entity Init, before the reaper goroutine starts.
+	// during entity Init, before the transport can report itself gone.
 	force interface{ Shutdown() }
 	// grant is the session's hold on its tenant's QoS budget, released in
 	// finish.
@@ -390,8 +361,7 @@ func (s *Server) admit(conn transport.Conn, tenant string) (*srvSession, error) 
 	s.nextID++
 	sess := &srvSession{
 		id:    s.nextID,
-		conn:  newManagedConn(conn),
-		dead:  make(chan struct{}),
+		conn:  conn,
 		grant: grant,
 	}
 	s.sessions[sess.id] = sess
@@ -489,36 +459,57 @@ func (s *Server) ServeConnFor(conn transport.Conn, tenant string) error {
 		return nil
 	}
 	hooks := mcam.ServerHooks{
-		OnDead: func() { sess.deadOnce.Do(func() { close(sess.dead) }) },
+		OnDead: sess.markDead,
 		OnBody: func(f interface{ Shutdown() }) { sess.force = f },
 		QoS:    sq,
 	}
-	inst, err := s.rt.AddSystem(
-		serverConnDef(s.cfg.Env, sess.conn, s.cfg.Dispatch, hooks),
-		fmt.Sprintf("conn%d", sess.id))
-	if err != nil {
+	gone := func(root *estelle.Instance) { s.transportGone(sess, root) }
+	if _, err := s.rt.AddSystem(
+		serverConnDef(s.cfg.Env, sess.conn, s.cfg.Dispatch, hooks, gone),
+		fmt.Sprintf("conn%d", sess.id)); err != nil {
 		sess.conn.Close()
 		s.finish(sess)
 		return err
 	}
-	// The reaper returns the session's entity subtree to the runtime once
-	// the transport is gone. Orderly path: the client saw its release
-	// confirm before closing, and the MCA is already Dead. Abrupt path:
-	// the disconnect indication reaches the MCA within a few passes; if it
-	// never does, the grace expires and streams are torn down directly.
-	go func() {
-		<-sess.conn.done
-		select {
-		case <-sess.dead:
-		case <-time.After(s.grace):
-			if sess.force != nil {
-				sess.force.Shutdown()
-			}
-		}
-		s.rt.Release(inst)
-		s.finish(sess)
-	}()
 	return nil
+}
+
+// transportGone arms the session's reaper, which returns the entity subtree
+// to the runtime. Orderly path: the client saw its release confirm before
+// closing, the MCA is already Dead, and the reaper runs at once. Abrupt
+// path: the disconnect indication reaches the MCA within a few passes and
+// its OnDead fires the reaper early; if it never does, the grace expires
+// and streams are torn down directly. Called once per session, on its
+// unit's goroutine.
+func (s *Server) transportGone(sess *srvSession, root *estelle.Instance) {
+	sess.mu.Lock()
+	defer sess.mu.Unlock()
+	grace := s.grace
+	if sess.dead {
+		grace = 0
+	}
+	sess.reaper = time.AfterFunc(grace, func() {
+		sess.mu.Lock()
+		dead := sess.dead
+		sess.mu.Unlock()
+		if !dead && sess.force != nil {
+			sess.force.Shutdown()
+		}
+		s.rt.Release(root)
+		s.finish(sess)
+	})
+}
+
+// markDead is the MCA's OnDead hook: it records the orderly end and, when
+// the transport is already gone, fires the armed reaper now instead of at
+// the end of the grace.
+func (sess *srvSession) markDead() {
+	sess.mu.Lock()
+	defer sess.mu.Unlock()
+	sess.dead = true
+	if sess.reaper != nil && sess.reaper.Stop() {
+		sess.reaper.Reset(0)
+	}
 }
 
 // Drain performs a graceful shutdown: stop admitting, give active sessions

@@ -81,7 +81,7 @@ func ClientEntityDef(conn transport.Conn, dispatch estelle.Dispatch) *estelle.Mo
 			mca := ctx.MustInit(mcam.ClientModuleDef(dispatch), "mca")
 			pres := ctx.MustInit(presentation.ProtocolMachineDef(dispatch), "pres")
 			sess := ctx.MustInit(session.ProtocolMachineDef(dispatch), "sess")
-			prov := ctx.MustInit(transport.ConnProviderDef(conn, false), "prov")
+			prov := ctx.MustInit(transport.ConnProviderDef(conn, false, nil), "prov")
 			mustWire(ctx,
 				[2]*estelle.IP{mca.IP("P"), pres.IP("P")},
 				[2]*estelle.IP{pres.IP("S"), sess.IP("S")},
@@ -97,12 +97,13 @@ func ClientEntityDef(conn transport.Conn, dispatch estelle.Dispatch) *estelle.Mo
 // ServerConnDef builds the per-connection server entity: server MCA +
 // presentation + session + transport interface over an accepted conn.
 func ServerConnDef(env *mcam.ServerEnv, conn transport.Conn, dispatch estelle.Dispatch) *estelle.ModuleDef {
-	return serverConnDef(env, conn, dispatch, mcam.ServerHooks{})
+	return serverConnDef(env, conn, dispatch, mcam.ServerHooks{}, nil)
 }
 
 // serverConnDef is ServerConnDef with connection-manager lifecycle hooks
-// wired into the MCA.
-func serverConnDef(env *mcam.ServerEnv, conn transport.Conn, dispatch estelle.Dispatch, hooks mcam.ServerHooks) *estelle.ModuleDef {
+// wired into the MCA, and onGone (when non-nil) called with the entity's
+// root instance once the transport below is gone.
+func serverConnDef(env *mcam.ServerEnv, conn transport.Conn, dispatch estelle.Dispatch, hooks mcam.ServerHooks, onGone func(root *estelle.Instance)) *estelle.ModuleDef {
 	return &estelle.ModuleDef{
 		Name:      "MCAMServerConn",
 		Attr:      estelle.SystemProcess,
@@ -111,7 +112,12 @@ func serverConnDef(env *mcam.ServerEnv, conn transport.Conn, dispatch estelle.Di
 			mca := ctx.MustInit(mcam.HookedServerModuleDef(env, dispatch, hooks), "mca")
 			pres := ctx.MustInit(presentation.ProtocolMachineDef(dispatch), "pres")
 			sess := ctx.MustInit(session.ProtocolMachineDef(dispatch), "sess")
-			prov := ctx.MustInit(transport.ConnProviderDef(conn, true), "prov")
+			var gone func()
+			if onGone != nil {
+				root := ctx.Self()
+				gone = func() { onGone(root) }
+			}
+			prov := ctx.MustInit(transport.ConnProviderDef(conn, true, gone), "prov")
 			mustWire(ctx,
 				[2]*estelle.IP{mca.IP("P"), pres.IP("P")},
 				[2]*estelle.IP{pres.IP("S"), sess.IP("S")},

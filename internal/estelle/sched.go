@@ -91,6 +91,11 @@ type unit struct {
 	// instance was released. Guarded by mu; wake attempts on a retired unit
 	// are dropped so the pending-wake accounting stays balanced.
 	retired bool
+	// running is true from the moment the unit's goroutine takes a wake
+	// until it has found dirty empty under mu and goes idle. Guarded by mu;
+	// while it is set no waker sends a token, because the unit re-checks
+	// dirty under mu before it idles.
+	running bool
 	// dirty is the pending work queue: instances marked runnable since the
 	// last drain. Appended under mu by any goroutine; drained by the unit.
 	dirty []*Instance
@@ -107,11 +112,13 @@ type unit struct {
 	passID  uint64
 }
 
-// wakeupLocked sends a wake token unless the unit has retired. Callers hold
-// u.mu, which orders every wake against tryRetire's final drain: a waker
-// either lands its token before the drain or observes retired and drops it.
+// wakeupLocked sends a wake token unless the unit is running or has
+// retired. Callers hold u.mu, which orders every wake against the unit's
+// idle check and tryRetire's final drain: a waker either finds the unit
+// running (and its work queued before the unit's last look at dirty) or
+// idle, and then lands its token; or it observes retired and drops it.
 func (u *unit) wakeupLocked() {
-	if u.retired {
+	if u.retired || u.running {
 		return
 	}
 	select {
@@ -121,6 +128,14 @@ func (u *unit) wakeupLocked() {
 	}
 }
 
+// setRunning marks the unit's goroutine awake: wakers stop sending tokens
+// until it next goes idle.
+func (u *unit) setRunning() {
+	u.mu.Lock()
+	u.running = true
+	u.mu.Unlock()
+}
+
 func (u *unit) wakeup() {
 	u.mu.Lock()
 	u.wakeupLocked()
@@ -128,11 +143,12 @@ func (u *unit) wakeup() {
 }
 
 // markDirty queues m for the next pass (deduplicated by m.dirtyFlag) and
-// wakes the unit. Safe to call from any goroutine. A retired unit must not
-// take the queue entry: setting the flag there would strand m (the fresh
-// unit's add CAS would fail and nothing would ever drain the retired
-// queue). Instead the wake is redirected to m's current unit, or dropped —
-// in which case re-adoption's own first-pass queueing picks the work up.
+// wakes the unit if it is idle. Safe to call from any goroutine. A retired
+// unit must not take the queue entry: setting the flag there would strand m
+// (the fresh unit's add CAS would fail and nothing would ever drain the
+// retired queue). Instead the wake is redirected to m's current unit, or
+// dropped — in which case re-adoption's own first-pass queueing picks the
+// work up.
 func (u *unit) markDirty(m *Instance) {
 	u.mu.Lock()
 	if u.retired {
@@ -209,12 +225,13 @@ func (u *unit) wakeDelayed() {
 // wakeMatured re-queues delayed instances whose due time has passed. The
 // unit calls it on every scheduling iteration so a busy unit (one that
 // never reaches the idle branch where the delay timer is armed) still
-// fires matured delay-clause transitions promptly.
-func (u *unit) wakeMatured(now time.Time) {
+// fires matured delay-clause transitions promptly. The clock is read only
+// when some instance has a pending delay.
+func (u *unit) wakeMatured(clock Clock) {
 	if len(u.delayed) == 0 {
 		return
 	}
-	nowNano := now.UnixNano()
+	nowNano := clock.Now().UnixNano()
 	for _, m := range u.delayed {
 		if m.delayDue != 0 && m.delayDue <= nowNano && !m.dead.Load() {
 			u.requeue(m)
@@ -257,7 +274,9 @@ func (u *unit) add(m *Instance) bool {
 
 // takeDirty drains the pending work queue into the unit's scratch buffer in
 // creation order (parents precede children, as tree precedence requires),
-// clearing each instance's dirty flag so concurrent arrivals re-queue.
+// clearing each instance's dirty flag so concurrent arrivals re-queue. The
+// queue usually arrives in order already (one connection's modules marked
+// in creation order), so it is sorted only when it is not.
 func (u *unit) takeDirty() []*Instance {
 	u.mu.Lock()
 	if u.deadCount > len(u.instances)/2 && len(u.instances) > 16 {
@@ -273,20 +292,19 @@ func (u *unit) takeDirty() []*Instance {
 	u.scratch = append(u.scratch[:0], u.dirty...)
 	u.dirty = u.dirty[:0]
 	u.mu.Unlock()
-	for _, m := range u.scratch {
+	sorted := true
+	for i, m := range u.scratch {
 		m.dirtyFlag.Store(false)
+		if i > 0 && u.scratch[i-1].id > m.id {
+			sorted = false
+		}
 	}
-	slices.SortFunc(u.scratch, func(a, b *Instance) int {
-		return cmp.Compare(a.id, b.id)
-	})
+	if !sorted {
+		slices.SortFunc(u.scratch, func(a, b *Instance) int {
+			return cmp.Compare(a.id, b.id)
+		})
+	}
 	return u.scratch
-}
-
-// dirtyLen reports the pending work queue length.
-func (u *unit) dirtyLen() int {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	return len(u.dirty)
 }
 
 // SchedOption configures a Scheduler.
@@ -406,7 +424,9 @@ func (s *Scheduler) adopt(m *Instance) {
 		u, ok := s.units[key]
 		created := false
 		if !ok {
-			u = &unit{key: key, sched: s, wakeCh: make(chan struct{}, 1)}
+			// A new unit starts running: its goroutine's first pass drains
+			// what add queues, so no wake token is needed.
+			u = &unit{key: key, sched: s, wakeCh: make(chan struct{}, 1), running: true}
 			s.units[key] = u
 			s.unitList = append(s.unitList, u)
 			created = true
@@ -519,25 +539,24 @@ func (s *Scheduler) runUnit(u *unit) {
 				break
 			}
 			u.passID++
-			scanInstances(rt, work, u, u.passID, rt.clock.Now())
+			scanInstances(rt, work, u, u.passID)
 		}
 		if s.tokens != nil {
 			s.tokens <- struct{}{}
 		}
 		// Matured delay clauses must not starve while the unit stays busy:
 		// the idle-branch timer below never arms in that case.
-		u.wakeMatured(rt.clock.Now())
-		if u.dirtyLen() > 0 {
+		u.wakeMatured(rt.clock)
+		// Go idle only on an empty queue, decided under u.mu: work queued
+		// before this check is seen here, and a waker after it finds the
+		// unit not running and sends a token.
+		u.mu.Lock()
+		if len(u.dirty) > 0 {
+			u.mu.Unlock()
 			continue
 		}
-		// Drain any buffered wake token before idling: it may announce
-		// work enqueued during the scan.
-		select {
-		case <-u.wakeCh:
-			s.pendingWakes.Add(-1)
-			continue
-		default:
-		}
+		u.running = false
+		u.mu.Unlock()
 		// A unit whose instances have all been released ends here instead
 		// of idling forever.
 		if s.tryRetire(u) {
@@ -563,11 +582,13 @@ func (s *Scheduler) runUnit(u *unit) {
 		s.idleUnits.Add(1)
 		select {
 		case <-u.wakeCh:
+			u.setRunning()
 			// Leave idle before releasing the pending-wake count so the
 			// quiescence monitor never observes "all idle, no pending".
 			s.idleUnits.Add(-1)
 			s.pendingWakes.Add(-1)
 		case <-timerCh:
+			u.setRunning()
 			s.idleUnits.Add(-1)
 			u.wakeDelayed()
 		case <-s.stopCh:
@@ -710,7 +731,7 @@ func NewStepper(rt *Runtime) *Stepper { return &Stepper{rt: rt} }
 func (st *Stepper) Step() (int, time.Time) {
 	st.passID++
 	st.scratch = st.rt.liveInstances(st.scratch)
-	return scanInstances(st.rt, st.scratch, nil, st.passID, st.rt.clock.Now())
+	return scanInstances(st.rt, st.scratch, nil, st.passID)
 }
 
 // RunUntilIdle steps until no transition fires. With a ManualClock it

@@ -2,8 +2,24 @@ package estelle
 
 import "time"
 
+// passClock reads the runtime clock at most once per scheduling pass, and
+// only when a delay clause asks for it: a pass over modules without pending
+// delay clauses never reads the clock.
+type passClock struct {
+	clock Clock
+	now   time.Time
+	read  bool
+}
+
+func (c *passClock) Now() time.Time {
+	if !c.read {
+		c.now, c.read = c.clock.Now(), true
+	}
+	return c.now
+}
+
 // selectTransition finds the highest-priority enabled transition of m at the
-// given time. It returns the transition index (-1 if none), the head
+// pass's time. It returns the transition index (-1 if none), the head
 // interaction to consume (nil for spontaneous transitions), and the earliest
 // future instant at which a currently delay-blocked transition becomes
 // eligible (zero if none).
@@ -12,7 +28,7 @@ import "time"
 // list, checking each transition's source states — the "hard-coded chain of
 // code blocks". DispatchTable walks only the precomputed per-state list —
 // the "table-controlled" variant.
-func (m *Instance) selectTransition(now time.Time) (int, *Interaction, time.Time) {
+func (m *Instance) selectTransition(clk *passClock) (int, *Interaction, time.Time) {
 	var cands []int
 	linear := m.def.Dispatch == DispatchLinear
 	if linear {
@@ -72,6 +88,7 @@ func (m *Instance) selectTransition(now time.Time) (int, *Interaction, time.Time
 		if t.Delay != nil {
 			if d := t.Delay(ctx); d > 0 {
 				m.delayStamp[ti] = m.scanSeq
+				now := clk.Now()
 				since, ok := m.enabledSince[ti]
 				if !ok {
 					since = now
@@ -162,7 +179,8 @@ func (m *Instance) fire(ti int, msg *Interaction) {
 // skipped by precedence are re-queued for the next pass, and pending delay
 // due times are recorded on the unit. Returns the number of fired
 // transitions and the earliest delay due time.
-func scanInstances(rt *Runtime, insts []*Instance, u *unit, passID uint64, now time.Time) (int, time.Time) {
+func scanInstances(rt *Runtime, insts []*Instance, u *unit, passID uint64) (int, time.Time) {
+	clk := passClock{clock: rt.clock}
 	fired := 0
 	var nextDue time.Time
 	timing := rt.timing
@@ -189,7 +207,7 @@ func scanInstances(rt *Runtime, insts []*Instance, u *unit, passID uint64, now t
 		if timing {
 			t0 = time.Now()
 		}
-		ti, msg, due := m.selectTransition(now)
+		ti, msg, due := m.selectTransition(&clk)
 		if timing {
 			rt.stats.ScanNanos.Add(time.Since(t0).Nanoseconds())
 		}

@@ -19,9 +19,10 @@ var ErrDeadline = errors.New("transport: receive deadline exceeded")
 // next Recv picks the message up.
 //
 // One DeadlineConn owns the wrapped connection's read side; do not call the
-// inner Recv directly afterwards. Send passes through. Close tears down the
-// inner connection and releases the pump, so an abandoned DeadlineConn does
-// not leak its goroutine.
+// inner Recv directly afterwards, and do not overlap Recv calls: they share
+// one timer. Send passes through. Close tears down the inner connection and
+// releases the pump, so an abandoned DeadlineConn does not leak its
+// goroutine.
 type DeadlineConn struct {
 	inner Conn
 
@@ -34,6 +35,9 @@ type DeadlineConn struct {
 	mu       sync.Mutex
 	deadline time.Time
 	err      error
+	// timer bounds Recv's wait; created by the first Recv with a deadline
+	// and reset by every later one, so a Call pays no timer allocation.
+	timer *time.Timer
 }
 
 // NewDeadlineConn wraps conn and starts its receive pump.
@@ -92,16 +96,21 @@ func (d *DeadlineConn) Send(p []byte) error { return d.inner.Send(p) }
 // Recv implements Conn, honoring the deadline. Once the connection reaches
 // a terminal state, every subsequent Recv returns that error immediately.
 func (d *DeadlineConn) Recv() ([]byte, error) {
-	d.mu.Lock()
-	deadline := d.deadline
-	d.mu.Unlock()
-
 	var timeout <-chan time.Time
-	if !deadline.IsZero() {
-		timer := time.NewTimer(time.Until(deadline))
-		defer timer.Stop()
-		timeout = timer.C
+	d.mu.Lock()
+	if !d.deadline.IsZero() {
+		wait := time.Until(d.deadline)
+		if d.timer == nil {
+			d.timer = time.NewTimer(wait)
+		} else {
+			d.timer.Reset(wait)
+		}
+		timeout = d.timer.C
+		// Stopped on return; a stopped or reset timer delivers no stale
+		// tick to the next Recv.
+		defer d.timer.Stop()
 	}
+	d.mu.Unlock()
 	select {
 	case p := <-d.msgs:
 		return p, nil

@@ -92,3 +92,33 @@ func TestDeadlineConnLocalCloseUnblocksRecv(t *testing.T) {
 		t.Fatal("Recv did not unblock on local close")
 	}
 }
+
+// TestDeadlineRecvAllocs guards the hand-coded client's receive path: a
+// Recv under a deadline reuses the conn's one timer, so once the first
+// Recv has created it, no Recv allocates.
+func TestDeadlineRecvAllocs(t *testing.T) {
+	const runs = 200
+	a, b := Pipe(runs + 8)
+	d := NewDeadlineConn(a)
+	defer d.Close()
+	defer b.Close()
+	// Queue every message up front: the pipe's copy on Send is the only
+	// allocation of a message, and it stays out of the measured runs.
+	for i := 0; i < runs+2; i++ {
+		if err := b.Send([]byte("m")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d.SetRecvDeadline(time.Now().Add(time.Minute))
+	if _, err := d.Recv(); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(runs, func() {
+		if _, err := d.Recv(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("deadline Recv allocates %.1f times, want 0", allocs)
+	}
+}

@@ -1,8 +1,6 @@
 package transport
 
 import (
-	"sync"
-
 	"xmovie/internal/estelle"
 )
 
@@ -103,16 +101,23 @@ func SystemPipeProviderDef() *estelle.ModuleDef {
 // a real Conn (TCP/TPKT or in-memory pipe). It is the package's equivalent
 // of the paper's hand-coded ISODE interface module (§4.3): a loop that maps
 // Estelle interactions onto library calls and back.
+//
+// A pipe needs no reader: its writer queues each message and notifies the
+// module, and Step takes it. Any other Conn gets a reader goroutine that
+// blocks in Recv and hands what it reads to Step through rx.
 type connBody struct {
-	conn Conn
-	// rx carries events from the background reader to Step, which turns
-	// them into provider outputs on the scheduler's goroutine.
-	rx chan connEvent
-
-	mu       sync.Mutex
-	started  bool
+	conn     Conn
 	accepted bool
-	wg       sync.WaitGroup
+	// onGone, when non-nil, is called once, on the scheduler's goroutine,
+	// right after the TDisInd that reports the transport gone.
+	onGone func()
+
+	// Owned by Step (the scheduler's goroutine), set when it first runs:
+	// pipe is conn when it pushes, else rx carries the reader's events.
+	started bool
+	gone    bool
+	pipe    *pipeConn
+	rx      chan connEvent
 }
 
 type connEvent struct {
@@ -125,8 +130,11 @@ type connEvent struct {
 // represents the called side: it emits TConInd when the user is ready and
 // completes with TConResp; otherwise the module is the calling side,
 // answering TConReq with TConCnf (the connection below is already open).
-func ConnProviderDef(conn Conn, accepted bool) *estelle.ModuleDef {
-	body := &connBody{conn: conn, accepted: accepted, rx: make(chan connEvent, 1024)}
+// onGone, when non-nil, is called once when the connection below is gone
+// (peer EOF, a receive error or a local Close), after the module has
+// emitted the TDisInd that reports it.
+func ConnProviderDef(conn Conn, accepted bool, onGone func()) *estelle.ModuleDef {
+	body := &connBody{conn: conn, accepted: accepted, onGone: onGone}
 	return &estelle.ModuleDef{
 		Name: "TransportConn",
 		Attr: estelle.Process,
@@ -139,7 +147,7 @@ func ConnProviderDef(conn Conn, accepted bool) *estelle.ModuleDef {
 
 // SystemConnProviderDef wraps ConnProviderDef as a system module.
 func SystemConnProviderDef(conn Conn, accepted bool) *estelle.ModuleDef {
-	def := *ConnProviderDef(conn, accepted)
+	def := *ConnProviderDef(conn, accepted, nil)
 	def.Attr = estelle.SystemProcess
 	return &def
 }
@@ -148,22 +156,10 @@ func SystemConnProviderDef(conn Conn, accepted bool) *estelle.ModuleDef {
 // §4.3 interface-module loop: translate pending Estelle interactions into
 // library calls, then translate pending library events into Estelle outputs.
 func (b *connBody) Step(ctx *estelle.Ctx) bool {
-	self := ctx.Self()
-	ip := self.IP("U")
-	b.mu.Lock()
+	ip := ctx.Self().IP("U")
 	if !b.started {
-		b.started = true
-		b.wg.Add(1)
-		go b.readLoop(self)
-		if b.accepted {
-			// Called side: announce the incoming connection.
-			b.mu.Unlock()
-			ctx.Output("U", "TConInd", "")
-			b.mu.Lock()
-		}
+		b.start(ctx)
 	}
-	b.mu.Unlock()
-
 	worked := false
 	for {
 		in := ip.PopInput()
@@ -188,23 +184,60 @@ func (b *connBody) Step(ctx *estelle.Ctx) bool {
 		}
 		in.Release()
 	}
-	for {
-		select {
-		case ev := <-b.rx:
-			worked = true
-			if ev.dis {
-				ctx.Output("U", "TDisInd")
-			} else {
-				ctx.Output("U", "TDatInd", ev.data)
-			}
-		default:
-			return worked
+	for !b.gone {
+		ev, ok := b.next()
+		if !ok {
+			break
 		}
+		worked = true
+		if !ev.dis {
+			ctx.Output("U", "TDatInd", ev.data)
+			continue
+		}
+		b.gone = true
+		ctx.Output("U", "TDisInd")
+		if b.onGone != nil {
+			b.onGone()
+		}
+	}
+	return worked
+}
+
+// next takes the next event from below, if one is pending.
+func (b *connBody) next() (connEvent, bool) {
+	if b.pipe != nil {
+		p, err := b.pipe.tryRecv()
+		return connEvent{data: p, dis: err != nil}, p != nil || err != nil
+	}
+	select {
+	case ev := <-b.rx:
+		return ev, true
+	default:
+		return connEvent{}, false
+	}
+}
+
+// start runs on the first Step: it hooks a pipe's receiver to this module,
+// or starts the reader for any other Conn, and announces an incoming
+// connection on the called side.
+func (b *connBody) start(ctx *estelle.Ctx) {
+	b.started = true
+	self := ctx.Self()
+	if p, ok := b.conn.(*pipeConn); ok {
+		b.pipe = p
+		p.setReceiver(self.Notify)
+	} else {
+		// The reader runs at most this far ahead of Step before Recv, and
+		// with it the TCP peer, waits: the default pipe capacity.
+		b.rx = make(chan connEvent, 1024)
+		go b.readLoop(self)
+	}
+	if b.accepted {
+		ctx.Output("U", "TConInd", "")
 	}
 }
 
 func (b *connBody) readLoop(self *estelle.Instance) {
-	defer b.wg.Done()
 	for {
 		p, err := b.conn.Recv()
 		if err != nil {
@@ -216,6 +249,3 @@ func (b *connBody) readLoop(self *estelle.Instance) {
 		self.Notify()
 	}
 }
-
-// Wait blocks until the background reader exits (after Close or peer EOF).
-func (b *connBody) Wait() { b.wg.Wait() }

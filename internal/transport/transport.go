@@ -12,6 +12,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 )
 
 // Conn is a reliable, ordered, message-preserving transport connection.
@@ -29,18 +30,24 @@ type Conn interface {
 // ErrClosed is returned by Send on a closed connection.
 var ErrClosed = errors.New("transport: connection closed")
 
-// pipeConn is one end of an in-memory connection.
+// pipeConn is one end of an in-memory connection. Its inbound queue is a
+// channel bounded by the pipe's capacity, read either by Recv or, once a
+// receiver hook is installed (setReceiver), by tryRecv on the goroutine the
+// hook wakes: then no goroutine waits on the queue.
 type pipeConn struct {
-	out chan<- []byte
-	in  <-chan []byte
+	out  chan<- []byte
+	in   <-chan []byte
+	peer *pipeConn
 	// closeOut signals this end's close to the peer (idempotent).
 	closeOut func()
 	// closedIn is closed when the peer closes; selfClosed when we do.
 	closedIn   <-chan struct{}
 	selfClosed <-chan struct{}
 
-	mu     sync.Mutex
-	closed bool
+	// onRecv is the receiver hook (nil until installed): called on the
+	// writer's goroutine after each message lands in this end's queue, and
+	// when either end closes.
+	onRecv atomic.Pointer[func()]
 }
 
 // Pipe returns two connected in-memory transport endpoints with queue
@@ -66,6 +73,7 @@ func Pipe(capacity int) (Conn, Conn) {
 	}
 	a.selfClosed = aClosed
 	b.selfClosed = bClosed
+	a.peer, b.peer = b, a
 	return a, b
 }
 
@@ -73,19 +81,74 @@ func Pipe(capacity int) (Conn, Conn) {
 //
 //xmovie:noretain p
 func (c *pipeConn) Send(p []byte) error {
-	c.mu.Lock()
-	closed := c.closed
-	c.mu.Unlock()
-	if closed {
+	// With room in the queue, the blocking select below could still pick
+	// the send after a close.
+	if isClosed(c.selfClosed) || isClosed(c.closedIn) {
 		return ErrClosed
 	}
 	buf := make([]byte, len(p))
 	copy(buf, p)
 	select {
 	case c.out <- buf:
-		return nil
-	case <-c.closedIn:
-		return ErrClosed
+	default:
+		// Full: wait for room or a close.
+		select {
+		case c.out <- buf:
+		case <-c.selfClosed:
+			return ErrClosed
+		case <-c.closedIn:
+			return ErrClosed
+		}
+	}
+	c.peer.announce()
+	return nil
+}
+
+// isClosed reports whether the close signal ch has fired. While ch is open
+// the one-case select costs no lock.
+func isClosed(ch <-chan struct{}) bool {
+	select {
+	case <-ch:
+		return true
+	default:
+		return false
+	}
+}
+
+// announce calls the receiver hook, if one is installed.
+func (c *pipeConn) announce() {
+	if fn := c.onRecv.Load(); fn != nil {
+		(*fn)()
+	}
+}
+
+// setReceiver installs fn as the receiver hook. What was queued before,
+// and a close that already happened, fn never hears of: the installer takes
+// them with tryRecv right after installing (a Send that read no hook had
+// queued its message by then).
+func (c *pipeConn) setReceiver(fn func()) { c.onRecv.Store(&fn) }
+
+// tryRecv takes the next queued message without blocking. It returns nil,
+// nil when nothing is queued (a message is never nil), and io.EOF once
+// this end is closed, or the peer is closed and the queue drained.
+func (c *pipeConn) tryRecv() ([]byte, error) {
+	select {
+	case p := <-c.in:
+		return p, nil
+	default:
+	}
+	if isClosed(c.selfClosed) {
+		return nil, io.EOF
+	}
+	if !isClosed(c.closedIn) {
+		return nil, nil
+	}
+	// The peer closed; a message may have landed after the first look.
+	select {
+	case p := <-c.in:
+		return p, nil
+	default:
+		return nil, io.EOF
 	}
 }
 
@@ -107,10 +170,9 @@ func (c *pipeConn) Recv() ([]byte, error) {
 }
 
 func (c *pipeConn) Close() error {
-	c.mu.Lock()
-	c.closed = true
-	c.mu.Unlock()
 	c.closeOut()
+	c.announce()
+	c.peer.announce()
 	return nil
 }
 

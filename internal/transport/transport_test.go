@@ -297,4 +297,298 @@ func TestConnProviderBridgesRealPipe(t *testing.T) {
 	if !rst.done {
 		t.Errorf("responder not notified of disconnect: %+v", rst)
 	}
+	// Both ends are pipes: each provider took the receiver hook, so no
+	// reader goroutine (and no rx channel for one) was ever started.
+	for _, prov := range []*estelle.Instance{provA, provB} {
+		b := prov.Def().External.(*connBody)
+		if b.pipe == nil || b.rx != nil {
+			t.Errorf("%s: pipe hooked = %v, reader started = %v", prov.Name(), b.pipe != nil, b.rx != nil)
+		}
+	}
+}
+
+// recorder is a T-service user that logs what its provider delivers.
+type recorder struct {
+	data []string
+	dis  int
+}
+
+func recorderDef() *estelle.ModuleDef {
+	return &estelle.ModuleDef{
+		Name:   "Recorder",
+		Attr:   estelle.SystemProcess,
+		IPs:    []estelle.IPDef{{Name: "T", Channel: ServiceChannel, Role: "user"}},
+		States: []string{"S"},
+		Init:   func(ctx *estelle.Ctx) { ctx.SetBody(&recorder{}) },
+		Trans: []estelle.Trans{
+			{
+				Name: "data", When: estelle.On("T", "TDatInd"),
+				Action: func(ctx *estelle.Ctx) {
+					r := ctx.Body().(*recorder)
+					r.data = append(r.data, string(ctx.Msg.Bytes(0)))
+				},
+			},
+			{
+				Name: "dis", When: estelle.On("T", "TDisInd"),
+				Action: func(ctx *estelle.Ctx) { ctx.Body().(*recorder).dis++ },
+			},
+		},
+	}
+}
+
+// hookedProvider wires a recorder to a calling-side provider over conn,
+// counting onGone calls, on a Stepper-driven runtime: with a pipe, every
+// delivery happens on the goroutines the test controls.
+func hookedProvider(t *testing.T, conn Conn, gone *int) (*estelle.Stepper, *recorder, *estelle.Instance) {
+	t.Helper()
+	rt := estelle.NewRuntime(estelle.WithStrict())
+	def := *ConnProviderDef(conn, false, func() { *gone++ })
+	def.Attr = estelle.SystemProcess
+	prov, err := rt.AddSystem(&def, "prov")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := rt.AddSystem(recorderDef(), "rec")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Connect(rec.IP("T"), prov.IP("U")); err != nil {
+		t.Fatal(err)
+	}
+	return estelle.NewStepper(rt), rec.Body().(*recorder), prov
+}
+
+func runIdle(t *testing.T, st *estelle.Stepper) {
+	t.Helper()
+	if _, err := st.RunUntilIdle(1000); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestPipePushDeliversQueuedFirstInOrder(t *testing.T) {
+	a, b := Pipe(0)
+	defer b.Close()
+	for i := 0; i < 5; i++ {
+		if err := b.Send([]byte{'m', byte('0' + i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gone := 0
+	st, rec, _ := hookedProvider(t, a, &gone)
+	// The provider's first Step installs the hook and takes the queue.
+	runIdle(t, st)
+	for i := 5; i < 10; i++ {
+		if err := b.Send([]byte{'m', byte('0' + i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runIdle(t, st)
+	want := []string{"m0", "m1", "m2", "m3", "m4", "m5", "m6", "m7", "m8", "m9"}
+	if len(rec.data) != len(want) {
+		t.Fatalf("delivered %q, want %q", rec.data, want)
+	}
+	for i := range want {
+		if rec.data[i] != want[i] {
+			t.Fatalf("delivered %q, want %q", rec.data, want)
+		}
+	}
+	if rec.dis != 0 || gone != 0 {
+		t.Fatalf("disconnect reported on a live pipe: TDisInd %d, onGone %d", rec.dis, gone)
+	}
+}
+
+func TestPipePushReportsEOFOnce(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		close func(local, peer Conn)
+	}{
+		{"peer", func(_, peer Conn) { peer.Close() }},
+		{"local", func(local, _ Conn) { local.Close() }},
+		{"both", func(local, peer Conn) { peer.Close(); local.Close(); peer.Close() }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a, b := Pipe(0)
+			defer b.Close()
+			gone := 0
+			st, rec, _ := hookedProvider(t, a, &gone)
+			runIdle(t, st)
+			if err := b.Send([]byte("last")); err != nil {
+				t.Fatal(err)
+			}
+			if tc.name == "peer" {
+				// Data queued before the peer's close still arrives first.
+				tc.close(a, b)
+				runIdle(t, st)
+				if len(rec.data) != 1 || rec.data[0] != "last" {
+					t.Fatalf("delivered %q before EOF, want [last]", rec.data)
+				}
+			} else {
+				runIdle(t, st)
+				tc.close(a, b)
+				runIdle(t, st)
+			}
+			// Later closes and passes change nothing.
+			a.Close()
+			b.Close()
+			runIdle(t, st)
+			if rec.dis != 1 || gone != 1 {
+				t.Fatalf("TDisInd %d, onGone %d; want exactly 1 each", rec.dis, gone)
+			}
+		})
+	}
+}
+
+// TestTPKTReportsEOFOnce covers the reader path: a conn that is not a pipe
+// still reports its end through the same TDisInd and onGone, once.
+func TestTPKTReportsEOFOnce(t *testing.T) {
+	l, err := Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	accepted := make(chan Conn, 1)
+	go func() {
+		c, err := l.Accept()
+		if err == nil {
+			accepted <- c
+		}
+	}()
+	conn, err := Dial(l.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	peer := <-accepted
+	var mu sync.Mutex
+	gone := 0
+	rt := estelle.NewRuntime(estelle.WithStrict())
+	def := *ConnProviderDef(conn, false, func() { mu.Lock(); gone++; mu.Unlock() })
+	def.Attr = estelle.SystemProcess
+	prov, err := rt.AddSystem(&def, "prov")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := rt.AddSystem(recorderDef(), "rec")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Connect(rec.IP("T"), prov.IP("U")); err != nil {
+		t.Fatal(err)
+	}
+	s := estelle.NewScheduler(rt, estelle.MapSingleUnit)
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if err := peer.Send([]byte("last")); err != nil {
+		t.Fatal(err)
+	}
+	peer.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		mu.Lock()
+		g := gone
+		mu.Unlock()
+		if g > 0 || time.Now().After(deadline) {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	conn.Close()
+	if err := s.WaitQuiescent(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	s.Stop()
+	r := rec.Body().(*recorder)
+	if len(r.data) != 1 || r.data[0] != "last" || r.dis != 1 || gone != 1 {
+		t.Fatalf("delivered %q, TDisInd %d, onGone %d; want [last], 1, 1", r.data, r.dis, gone)
+	}
+	if b := prov.Def().External.(*connBody); b.pipe != nil || b.rx == nil {
+		t.Fatal("a TPKT conn must be read by the reader goroutine")
+	}
+}
+
+func TestPipeSendAfterPeerCloseFails(t *testing.T) {
+	a, b := Pipe(4)
+	b.Close()
+	// The queue has room; the closed peer must still refuse every send.
+	for i := 0; i < 8; i++ {
+		if err := a.Send([]byte("x")); err != ErrClosed {
+			t.Fatalf("Send %d after peer close = %v, want ErrClosed", i, err)
+		}
+	}
+	// Same with the receiver hook installed on the closing end.
+	c, d := Pipe(4)
+	gone := 0
+	st, _, _ := hookedProvider(t, d, &gone)
+	runIdle(t, st)
+	d.Close()
+	if err := c.Send([]byte("x")); err != ErrClosed {
+		t.Fatalf("Send after hooked peer close = %v, want ErrClosed", err)
+	}
+}
+
+// burstUserDef sends n data units at once when connected and closes after
+// n have come back; the responder side echoes.
+func burstUserDef(name string, n int, initiate bool) *estelle.ModuleDef {
+	def := tUserDef(name, n, initiate)
+	def.Trans[2].Action = func(ctx *estelle.Ctx) {
+		st := ctx.Body().(*tUser)
+		for st.sent < st.n {
+			ctx.Output("T", "TDatReq", []byte{byte(st.sent)})
+			st.sent++
+		}
+	}
+	def.Trans[3].Action = func(ctx *estelle.Ctx) {
+		st := ctx.Body().(*tUser)
+		st.received++
+		if !st.initiate {
+			ctx.Output("T", "TDatReq", ctx.Msg.Bytes(0))
+		} else if st.received == st.n && !st.done {
+			st.done = true
+			ctx.Output("T", "TDisReq")
+		}
+	}
+	return def
+}
+
+// TestPipePushFullBoundBothWays sends a burst of exactly the pipe's
+// capacity each way through hooked ends: requests fill one direction, the
+// echoed responses the other, and the exchange must still complete.
+func TestPipePushFullBoundBothWays(t *testing.T) {
+	const capacity = 8
+	ca, cb := Pipe(capacity)
+	rt := estelle.NewRuntime(estelle.WithStrict())
+	provA, err := rt.AddSystem(SystemConnProviderDef(ca, false), "provA")
+	if err != nil {
+		t.Fatal(err)
+	}
+	provB, err := rt.AddSystem(SystemConnProviderDef(cb, true), "provB")
+	if err != nil {
+		t.Fatal(err)
+	}
+	initiator, err := rt.AddSystem(burstUserDef("Initiator", capacity, true), "init")
+	if err != nil {
+		t.Fatal(err)
+	}
+	responder, err := rt.AddSystem(burstUserDef("Responder", 0, false), "resp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Connect(initiator.IP("T"), provA.IP("U")); err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Connect(responder.IP("T"), provB.IP("U")); err != nil {
+		t.Fatal(err)
+	}
+	s := estelle.NewScheduler(rt, estelle.MapPerSystem)
+	if err := s.RunToQuiescence(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	st := initiator.Body().(*tUser)
+	if st.sent != capacity || st.received != capacity || !st.done {
+		t.Errorf("initiator sent=%d received=%d done=%v", st.sent, st.received, st.done)
+	}
+	if rst := responder.Body().(*tUser); rst.received != capacity || !rst.done {
+		t.Errorf("responder received=%d done=%v", rst.received, rst.done)
+	}
 }
