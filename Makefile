@@ -17,12 +17,12 @@ test:
 test-short:
 	$(GO) test -short -race ./...
 
-# The wake-discipline and pipe-push tests, twenty times under the race
-# detector: a lost wake or a misordered delivery shows as an intermittent
-# stall, which one run may not hit.
+# The wake-discipline, pipe-push and pipe wake/deadline tests, twenty
+# times under the race detector: a lost wake or a misordered delivery shows
+# as an intermittent stall, which one run may not hit.
 race-wake:
 	$(GO) test -race -count=20 -run='TestNoLostWake|TestLazyClockMaturesDelayWhileBusy|TestSchedulerReadsNoClockWithoutDelays' ./internal/estelle
-	$(GO) test -race -count=20 -run='TestPipePush|TestPipeSendAfterPeerCloseFails|TestTPKTReportsEOFOnce|TestConnProviderBridgesRealPipe' ./internal/transport
+	$(GO) test -race -count=20 -run='TestPipePush|TestPipeSendAfterPeerCloseFails|TestTPKTReportsEOFOnce|TestConnProviderBridgesRealPipe|TestPipeParkedRecvEOFOnClose|TestPipeQueuedBeforeCloseArriveFirst|TestPipeDeadline|TestDeadline' ./internal/transport
 
 # Tier-1 verify: exactly what reviewers and the CI gate run.
 verify: build test metrics-guard lint bench-check
@@ -90,12 +90,14 @@ bench-smoke:
 # deadline conn's receive under a deadline, MTP stream paths — including the FrameSource send
 # path, the paced emit path stepped by the timer wheel, the zero-copy
 # batched send path with its syscall-count bound and the UDP conn's
-# SendBatch/TryRecv — and the disk store's cached read path) +
+# SendBatch/TryRecv — the disk store's cached read path, TPKT's one write
+# per message, and one whole Query round trip per control stack over a
+# pipe association) +
 # append-vs-schema byte-identity proofs, the cold/cached disk-read
 # benchmark and the directory's Add+Remove at 1k and 16k entries.
 bench-guard:
-	$(GO) test -run='TestSendSelectFireAllocs|TestPDUEncodeAllocs|TestPPDUEncodeAllocs|TestPDUDecodeAllocs|TestPPDUDecodeAllocs|TestSPDUParseAllocs|TestStreamPathAllocs|TestFrameSourceSendAllocs|TestPacedEmitAllocs|TestLiveTailSendAllocs|TestBatchedSendAllocs|TestBatchedSendSyscalls|TestUDPConnAllocs|TestDiskCachedReadAllocs|TestAppendMatchesSchemaEncoder|TestDeadlineRecvAllocs' \
-		./internal/estelle ./internal/mcam ./internal/presentation ./internal/session ./internal/mtp ./internal/moviedb ./internal/transport
+	$(GO) test -run='TestSendSelectFireAllocs|TestPDUEncodeAllocs|TestPPDUEncodeAllocs|TestPDUDecodeAllocs|TestPPDUDecodeAllocs|TestSPDUParseAllocs|TestStreamPathAllocs|TestFrameSourceSendAllocs|TestPacedEmitAllocs|TestLiveTailSendAllocs|TestBatchedSendAllocs|TestBatchedSendSyscalls|TestUDPConnAllocs|TestDiskCachedReadAllocs|TestAppendMatchesSchemaEncoder|TestDeadlineRecvAllocs|TestTPKTSendOneWrite|TestHandcodedQueryAllocs|TestGeneratedQueryAllocs' \
+		./internal/estelle ./internal/mcam ./internal/presentation ./internal/session ./internal/mtp ./internal/moviedb ./internal/transport ./internal/core
 	$(GO) test -run='^$$' -bench='BenchmarkDiskStream|BenchmarkDSARemove' -benchtime=10x -benchmem ./internal/moviedb ./internal/directory
 
 # Fuzz smoke: each native fuzz target for ten seconds — the typed MCAM and

@@ -180,6 +180,14 @@ func (s *FaultStore) Get(name string) (*moviedb.Movie, error) {
 	return m, nil
 }
 
+// Info implements moviedb.Store; it faults exactly as Get does.
+func (s *FaultStore) Info(name string) (moviedb.Info, error) {
+	if err := s.gate("info"); err != nil {
+		return moviedb.Info{}, err
+	}
+	return s.inner.Info(name)
+}
+
 // Delete implements moviedb.Store.
 func (s *FaultStore) Delete(name string) error {
 	if err := s.gate("delete"); err != nil {

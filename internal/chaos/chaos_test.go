@@ -180,3 +180,33 @@ func TestScheduleIsDeterministic(t *testing.T) {
 		t.Fatalf("schedule injected nothing: %+v", a)
 	}
 }
+
+// TestInfoFaultsLikeGet rolls the schedule on Info as on Get: transient
+// errors, permanent failure, stalls, and the same counters.
+func TestInfoFaultsLikeGet(t *testing.T) {
+	fs := NewFaultStore(seedStore(t), FaultConfig{ErrProb: 1, Seed: 3})
+	if _, err := fs.Info("casablanca"); !errors.Is(err, ErrInjected) {
+		t.Fatalf("Info under ErrProb=1 = %v", err)
+	}
+	if got := fs.Stats().Errors; got != 1 {
+		t.Fatalf("injected errors = %d, want 1", got)
+	}
+	const delay = 20 * time.Millisecond
+	fs.SetConfig(FaultConfig{SlowProb: 1, SlowDelay: delay})
+	start := time.Now()
+	if m, err := fs.Info("casablanca"); err != nil || m.Length != 3 {
+		t.Fatalf("Info on a slow store = %+v, %v", m, err)
+	}
+	if took := time.Since(start); took < delay || fs.Stats().Slowed != 1 {
+		t.Fatalf("Info took %v with %d stalls, want >= %v and 1", took, fs.Stats().Slowed, delay)
+	}
+	fs.FailPermanently()
+	if _, err := fs.Info("casablanca"); !errors.Is(err, ErrDown) {
+		t.Fatalf("Info on failed store = %v", err)
+	}
+	fs.Heal()
+	fs.SetConfig(FaultConfig{})
+	if _, err := fs.Info("casablanca"); err != nil {
+		t.Fatalf("Info after heal: %v", err)
+	}
+}

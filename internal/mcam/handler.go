@@ -236,7 +236,7 @@ func (h *handler) create(req *Request) *Response {
 	if err := h.env.Store.Create(m); err != nil {
 		return fail(req, storeStatus(err), "%v", err)
 	}
-	if err := h.mirrorToDirectory(req.Movie, attrs); err != nil {
+	if err := h.mirrorToDirectory(req.Movie, attrs, true); err != nil {
 		return fail(req, StatusDirectoryError, "%v", err)
 	}
 	return ok(req)
@@ -261,13 +261,13 @@ func (h *handler) delete(req *Request) *Response {
 }
 
 func (h *handler) selectMovie(req *Request) *Response {
-	m, err := h.env.Store.Get(req.Movie)
+	m, err := h.env.Store.Info(req.Movie)
 	if err != nil {
 		return fail(req, storeStatus(err), "%v", err)
 	}
 	h.selected = m.Name
 	resp := ok(req)
-	resp.Length = m.FrameCount()
+	resp.Length = m.Length
 	resp.FrameRate = int64(m.FrameRate)
 	return resp
 }
@@ -289,16 +289,19 @@ func (h *handler) query(req *Request) *Response {
 	if errResp != nil {
 		return errResp
 	}
-	m, err := h.env.Store.Get(name)
+	m, err := h.env.Store.Info(name)
 	if err != nil {
 		return fail(req, storeStatus(err), "%v", err)
 	}
 	resp := ok(req)
-	for k, v := range m.Attrs {
-		resp.Attrs = append(resp.Attrs, Attr{Name: k, Value: v})
+	// The snapshot is sorted by name already, as the response lists them.
+	if len(m.Attrs) > 0 {
+		resp.Attrs = make([]Attr, len(m.Attrs))
+		for i, a := range m.Attrs {
+			resp.Attrs[i] = Attr(a)
+		}
 	}
-	sortAttrs(resp.Attrs)
-	resp.Length = m.FrameCount()
+	resp.Length = m.Length
 	resp.FrameRate = int64(m.FrameRate)
 	return resp
 }
@@ -315,7 +318,7 @@ func (h *handler) modify(req *Request) *Response {
 	if err := h.env.Store.SetAttrs(name, updates); err != nil {
 		return fail(req, storeStatus(err), "%v", err)
 	}
-	if err := h.mirrorToDirectory(name, updates); err != nil {
+	if err := h.mirrorToDirectory(name, updates, false); err != nil {
 		return fail(req, StatusDirectoryError, "%v", err)
 	}
 	return ok(req)
@@ -475,12 +478,12 @@ func (h *handler) seek(req *Request) *Response {
 	if errResp != nil {
 		return errResp
 	}
-	m, err := h.env.Store.Get(name)
+	m, err := h.env.Store.Info(name)
 	if err != nil {
 		return fail(req, storeStatus(err), "%v", err)
 	}
-	if req.Position < 0 || req.Position > m.FrameCount() {
-		return fail(req, StatusBadState, "position %d outside 0..%d", req.Position, m.FrameCount())
+	if req.Position < 0 || req.Position > m.Length {
+		return fail(req, StatusBadState, "position %d outside 0..%d", req.Position, m.Length)
 	}
 	resp := ok(req)
 	resp.Position = req.Position
@@ -491,39 +494,38 @@ func (h *handler) movieDN(name string) directory.DN {
 	return h.env.DirBase.Child("cn", name)
 }
 
-// mirrorToDirectory writes movie attributes into the directory, creating
-// the entry on first touch.
-func (h *handler) mirrorToDirectory(name string, attrs moviedb.Attributes) error {
+// movieClass is the objectClass of a movie's directory entry.
+var movieClass = []string{"movie"}
+
+// mirrorToDirectory writes movie attributes into the directory, in one
+// write when the directory agrees with the store: a create adds the entry,
+// a modify modifies it. Each falls back to the other where the directory
+// disagrees — an entry left over from before, or one never made — and an
+// add that loses a race to another add modifies instead.
+func (h *handler) mirrorToDirectory(name string, attrs moviedb.Attributes, create bool) error {
 	if h.env.DUA == nil {
 		return nil
 	}
 	dn := h.movieDN(name)
 	set := make(map[string][]string, len(attrs)+1)
-	for k, v := range attrs {
-		if v != "" {
-			set[k] = []string{v}
-		}
-	}
-	if _, err := h.env.DUA.Read(dn); err != nil {
-		if !errors.Is(err, directory.ErrNoSuchEntry) {
-			return err
-		}
-		set["objectClass"] = []string{"movie"}
-		return h.env.DUA.Add(&directory.Entry{DN: dn, Attrs: set})
-	}
 	var del []string
 	for k, v := range attrs {
 		if v == "" {
 			del = append(del, k)
+		} else {
+			set[k] = []string{v}
 		}
 	}
+	if !create {
+		if err := h.env.DUA.Modify(dn, set, del); !errors.Is(err, directory.ErrNoSuchEntry) {
+			return err
+		}
+	}
+	set["objectClass"] = movieClass
+	err := h.env.DUA.Add(&directory.Entry{DN: dn, Attrs: set})
+	if !errors.Is(err, directory.ErrEntryExists) {
+		return err
+	}
+	delete(set, "objectClass")
 	return h.env.DUA.Modify(dn, set, del)
-}
-
-func sortAttrs(attrs []Attr) {
-	for i := 1; i < len(attrs); i++ {
-		for j := i; j > 0 && attrs[j].Name < attrs[j-1].Name; j-- {
-			attrs[j], attrs[j-1] = attrs[j-1], attrs[j]
-		}
-	}
 }

@@ -65,14 +65,18 @@ func DialIsodeTimeout(conn transport.Conn, calledSel string, timeout time.Durati
 	return &IsodeClient{prov: prov, dc: dc, timeout: timeout}, nil
 }
 
-// armDeadline bounds the receive waits of one operation; the returned func
-// clears the bound. A no-op without DialIsodeTimeout.
-func (c *IsodeClient) armDeadline(timeout time.Duration) func() {
-	if c.dc == nil || timeout <= 0 {
-		return func() {}
+// bound sets the receive deadline of one operation: timeout from now, or
+// none for timeout <= 0. Every operation sets its own, so none needs
+// clearing afterwards. A no-op without DialIsodeTimeout.
+func (c *IsodeClient) bound(timeout time.Duration) {
+	if c.dc == nil {
+		return
 	}
-	c.dc.SetRecvDeadline(time.Now().Add(timeout))
-	return func() { c.dc.SetRecvDeadline(time.Time{}) }
+	var t time.Time
+	if timeout > 0 {
+		t = time.Now().Add(timeout)
+	}
+	c.dc.SetRecvDeadline(t)
 }
 
 // Call sends a request and blocks for its response, dispatching any stream
@@ -82,7 +86,7 @@ func (c *IsodeClient) armDeadline(timeout time.Duration) func() {
 func (c *IsodeClient) Call(req *Request) (*Response, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	defer c.armDeadline(c.timeout)()
+	c.bound(c.timeout)
 	c.invoke++
 	req.InvokeID = c.invoke
 	var err error
@@ -134,7 +138,7 @@ func (c *IsodeClient) AwaitEvent() (Event, error) {
 func (c *IsodeClient) AwaitEventTimeout(timeout time.Duration) (Event, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	defer c.armDeadline(timeout)()
+	c.bound(timeout)
 	for {
 		pdu, err := c.recvPDU()
 		if err != nil {
@@ -171,7 +175,7 @@ func (c *IsodeClient) recvPDU() (*PDU, error) {
 func (c *IsodeClient) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	defer c.armDeadline(c.timeout)()
+	c.bound(c.timeout)
 	return c.prov.Release(nil)
 }
 

@@ -10,7 +10,7 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -74,6 +74,8 @@ type DiskStore struct {
 
 	mu     sync.RWMutex
 	movies map[string]*diskMovie
+	// names holds the movies' names, sorted.
+	names []string
 	// pending reserves names whose Create is still writing to disk, so
 	// concurrent Creates conflict without the store lock being held across
 	// the (possibly long) content drain.
@@ -104,7 +106,7 @@ type diskMovie struct {
 	mu        sync.RWMutex
 	format    Format
 	frameRate int
-	attrs     Attributes
+	attrs     []Attr // immutable snapshot, replaced by SetAttrs
 	seg       *os.File
 	idx       *os.File
 	// ends[i] is the byte offset just past frame i's record; frame i's
@@ -162,6 +164,10 @@ func OpenDiskStore(dir string, cfg DiskConfig) (*DiskStore, error) {
 			s.movies[m.name] = m
 		}
 	}
+	for name := range s.movies {
+		s.names = append(s.names, name)
+	}
+	slices.Sort(s.names)
 	return s, nil
 }
 
@@ -195,10 +201,7 @@ func (s *DiskStore) openMovie(dir string) (*diskMovie, error) {
 		store:     s,
 		format:    Format(meta.Format),
 		frameRate: meta.FrameRate,
-		attrs:     meta.Attrs,
-	}
-	if m.attrs == nil {
-		m.attrs = make(Attributes)
+		attrs:     snapshot(meta.Attrs),
 	}
 	m.refs.Store(1)
 	if err := m.openFiles(); err != nil {
@@ -389,7 +392,7 @@ func (m *diskMovie) rewriteIndex() error {
 // fsync, rename — a crash leaves either the old meta.json or the new one,
 // never a torn file.
 func (m *diskMovie) writeMeta() error {
-	meta := diskMeta{Name: m.name, Format: int(m.format), FrameRate: m.frameRate, Attrs: m.attrs}
+	meta := diskMeta{Name: m.name, Format: int(m.format), FrameRate: m.frameRate, Attrs: attrMap(m.attrs)}
 	raw, err := json.MarshalIndent(meta, "", "  ")
 	if err != nil {
 		return err
@@ -467,10 +470,7 @@ func (s *DiskStore) Create(mv *Movie) error {
 		store:     s,
 		format:    mv.Format,
 		frameRate: mv.FrameRate,
-		attrs:     mv.Attrs.Clone(),
-	}
-	if m.attrs == nil {
-		m.attrs = make(Attributes)
+		attrs:     snapshot(mv.Attrs),
 	}
 	m.refs.Store(1)
 	fail := func(err error) error {
@@ -520,6 +520,7 @@ func (s *DiskStore) Create(mv *Movie) error {
 		return fmt.Errorf("moviedb: store is closed")
 	}
 	s.movies[mv.Name] = m
+	s.names = insertName(s.names, mv.Name)
 	s.mu.Unlock()
 	return nil
 }
@@ -641,9 +642,20 @@ func (s *DiskStore) Get(name string) (*Movie, error) {
 		Name:      m.name,
 		Format:    m.format,
 		FrameRate: m.frameRate,
-		Attrs:     m.attrs.Clone(),
+		Attrs:     attrMap(m.attrs),
 		Content:   &diskContent{m: m},
 	}, nil
+}
+
+// Info implements Store.
+func (s *DiskStore) Info(name string) (Info, error) {
+	m, err := s.lookup(name)
+	if err != nil {
+		return Info{}, err
+	}
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	return Info{Name: m.name, FrameRate: m.frameRate, Length: int64(len(m.ends)), Attrs: m.attrs}, nil
 }
 
 // Delete implements Store. A live movie (open recording session) refuses
@@ -663,6 +675,7 @@ func (s *DiskStore) Delete(name string) error {
 			return fmt.Errorf("%w: %s", ErrLive, name)
 		}
 		delete(s.movies, name)
+		s.names = deleteName(s.names, name)
 	}
 	s.mu.Unlock()
 	if closed {
@@ -685,12 +698,7 @@ func (s *DiskStore) Delete(name string) error {
 func (s *DiskStore) List() []string {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	out := make([]string, 0, len(s.movies))
-	for name := range s.movies {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
+	return slices.Clone(s.names)
 }
 
 // SetAttrs implements Store; the merged attribute set is persisted to
@@ -702,13 +710,7 @@ func (s *DiskStore) SetAttrs(name string, updates Attributes) error {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for k, v := range updates {
-		if v == "" {
-			delete(m.attrs, k)
-		} else {
-			m.attrs[k] = v
-		}
-	}
+	m.attrs = merged(m.attrs, updates)
 	if err := m.writeMeta(); err != nil {
 		return fmt.Errorf("moviedb: %w", err)
 	}
@@ -803,6 +805,7 @@ func (s *DiskStore) Close() error {
 		m.release()
 	}
 	s.movies = nil
+	s.names = nil
 	return nil
 }
 

@@ -14,7 +14,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 )
 
@@ -62,6 +63,55 @@ func (a Attributes) Clone() Attributes {
 		out[k] = v
 	}
 	return out
+}
+
+// Attr is one descriptive attribute of a snapshot.
+type Attr struct{ Name, Value string }
+
+// snapshot returns a's pairs sorted by name: a fresh snapshot, which the
+// store never mutates once published.
+func snapshot(a Attributes) []Attr {
+	out := make([]Attr, 0, len(a))
+	for k, v := range a {
+		out = append(out, Attr{Name: k, Value: v})
+	}
+	slices.SortFunc(out, func(x, y Attr) int { return strings.Compare(x.Name, y.Name) })
+	return out
+}
+
+// merged returns the snapshot that updates (a value of "" deletes the
+// key) make of snap, leaving snap as it is.
+func merged(snap []Attr, updates Attributes) []Attr {
+	m := attrMap(snap)
+	for k, v := range updates {
+		if v == "" {
+			delete(m, k)
+		} else {
+			m[k] = v
+		}
+	}
+	return snapshot(m)
+}
+
+// attrMap returns a snapshot as a fresh map.
+func attrMap(snap []Attr) Attributes {
+	m := make(Attributes, len(snap))
+	for _, a := range snap {
+		m[a.Name] = a.Value
+	}
+	return m
+}
+
+// Info is a movie's catalogue entry as one read saw it.
+type Info struct {
+	Name      string
+	FrameRate int
+	// Length is the frame count at the moment of the read.
+	Length int64
+	// Attrs is the store's attribute snapshot, sorted by name. It is
+	// shared: SetAttrs replaces a movie's snapshot and never edits one, so
+	// it stays as read — and the caller must not edit it either.
+	Attrs []Attr
 }
 
 // Movie is one stored movie.
@@ -120,8 +170,11 @@ var (
 type Store interface {
 	// Create inserts a new movie; ErrExists if the name is taken.
 	Create(m *Movie) error
-	// Get returns the movie by name.
+	// Get returns the movie by name. Its Attrs is the caller's own copy.
 	Get(name string) (*Movie, error)
+	// Info returns the movie's name, frame rate, length and attribute
+	// snapshot, copying nothing.
+	Info(name string) (Info, error)
 	// Delete removes the movie by name. A movie with an open recording
 	// session refuses with ErrLive.
 	Delete(name string) error
@@ -146,6 +199,8 @@ type Store interface {
 type MemStore struct {
 	mu     sync.RWMutex
 	movies map[string]*memMovie
+	// names holds the movies' names, sorted (guarded by mu).
+	names []string
 }
 
 // memMovie is the store's representation of one movie: an optional
@@ -158,7 +213,7 @@ type memMovie struct {
 	mu        sync.Mutex
 	format    Format
 	frameRate int
-	attrs     Attributes
+	attrs     []Attr   // immutable snapshot, replaced by SetAttrs
 	base      Content  // immutable; nil for eager movies
 	baseLen   int64    // base.Len(), frozen at Create
 	frames    [][]byte // frames after the base (all frames when base == nil)
@@ -186,7 +241,7 @@ func (s *MemStore) Create(m *Movie) error {
 		name:      m.Name,
 		format:    m.Format,
 		frameRate: m.FrameRate,
-		attrs:     m.Attrs.Clone(),
+		attrs:     snapshot(m.Attrs),
 		base:      m.Content,
 	}
 	if mm.base != nil {
@@ -200,6 +255,7 @@ func (s *MemStore) Create(m *Movie) error {
 		return fmt.Errorf("%w: %s", ErrExists, m.Name)
 	}
 	s.movies[m.Name] = mm
+	s.names = insertName(s.names, m.Name)
 	return nil
 }
 
@@ -227,13 +283,24 @@ func (s *MemStore) Get(name string) (*Movie, error) {
 		Name:      mm.name,
 		Format:    mm.format,
 		FrameRate: mm.frameRate,
-		Attrs:     mm.attrs.Clone(),
+		Attrs:     attrMap(mm.attrs),
 		Content:   &memContent{mm: mm},
 	}
 	if mm.base == nil {
 		cp.Frames = mm.frames[:len(mm.frames):len(mm.frames)]
 	}
 	return cp, nil
+}
+
+// Info implements Store.
+func (s *MemStore) Info(name string) (Info, error) {
+	mm, err := s.lookup(name)
+	if err != nil {
+		return Info{}, err
+	}
+	mm.mu.Lock()
+	defer mm.mu.Unlock()
+	return Info{Name: mm.name, FrameRate: mm.frameRate, Length: mm.total(), Attrs: mm.attrs}, nil
 }
 
 // Delete implements Store; a live movie refuses with ErrLive. Sources
@@ -253,6 +320,7 @@ func (s *MemStore) Delete(name string) error {
 		return fmt.Errorf("%w: %s", ErrLive, name)
 	}
 	delete(s.movies, name)
+	s.names = deleteName(s.names, name)
 	return nil
 }
 
@@ -260,12 +328,21 @@ func (s *MemStore) Delete(name string) error {
 func (s *MemStore) List() []string {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	out := make([]string, 0, len(s.movies))
-	for name := range s.movies {
-		out = append(out, name)
+	return slices.Clone(s.names)
+}
+
+// insertName adds name to the sorted names (it is not there yet).
+func insertName(names []string, name string) []string {
+	i, _ := slices.BinarySearch(names, name)
+	return slices.Insert(names, i, name)
+}
+
+// deleteName removes name from the sorted names, if it is there.
+func deleteName(names []string, name string) []string {
+	if i, ok := slices.BinarySearch(names, name); ok {
+		return slices.Delete(names, i, i+1)
 	}
-	sort.Strings(out)
-	return out
+	return names
 }
 
 // SetAttrs implements Store.
@@ -276,13 +353,7 @@ func (s *MemStore) SetAttrs(name string, updates Attributes) error {
 	}
 	mm.mu.Lock()
 	defer mm.mu.Unlock()
-	for k, v := range updates {
-		if v == "" {
-			delete(mm.attrs, k)
-		} else {
-			mm.attrs[k] = v
-		}
-	}
+	mm.attrs = merged(mm.attrs, updates)
 	return nil
 }
 

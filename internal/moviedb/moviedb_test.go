@@ -177,3 +177,44 @@ func TestStorePropertyQuick(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestInfoSnapshotOutlivesSetAttrs reads a movie's attribute snapshot,
+// changes the attributes, and checks the snapshot still reads the old
+// values while a fresh Info reads the new ones — on every store kind.
+func TestInfoSnapshotOutlivesSetAttrs(t *testing.T) {
+	ds, err := OpenDiskStore(t.TempDir(), DiskConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds.Close()
+	for _, s := range []Store{NewMemStore(), ds, NewShardedStore(4)} {
+		if err := s.Create(&Movie{Name: "m", FrameRate: 25, Frames: [][]byte{{1}, {2}},
+			Attrs: Attributes{AttrYear: "1942", AttrTitle: "casablanca"}}); err != nil {
+			t.Fatal(err)
+		}
+		old, err := s.Info("m")
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := []Attr{{AttrTitle, "casablanca"}, {AttrYear, "1942"}}
+		if old.Name != "m" || old.FrameRate != 25 || old.Length != 2 || !reflect.DeepEqual(old.Attrs, want) {
+			t.Fatalf("%T: Info = %+v", s, old)
+		}
+		if err := s.SetAttrs("m", Attributes{AttrYear: "", AttrDirector: "curtiz"}); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(old.Attrs, want) {
+			t.Fatalf("%T: a snapshot read before SetAttrs changed to %v", s, old.Attrs)
+		}
+		cur, err := s.Info("m")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if now := []Attr{{AttrDirector, "curtiz"}, {AttrTitle, "casablanca"}}; !reflect.DeepEqual(cur.Attrs, now) {
+			t.Fatalf("%T: Info after SetAttrs = %v, want %v", s, cur.Attrs, now)
+		}
+		if _, err := s.Info("none"); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("%T: Info of a missing movie = %v", s, err)
+		}
+	}
+}

@@ -3,7 +3,6 @@ package moviedb
 import (
 	"errors"
 	"io"
-	"sort"
 
 	"xmovie/internal/stripe"
 )
@@ -64,6 +63,9 @@ func (s *ShardedStore) Create(m *Movie) error { return s.shard(m.Name).Create(m)
 // Get implements Store.
 func (s *ShardedStore) Get(name string) (*Movie, error) { return s.shard(name).Get(name) }
 
+// Info implements Store.
+func (s *ShardedStore) Info(name string) (Info, error) { return s.shard(name).Info(name) }
+
 // Delete implements Store.
 func (s *ShardedStore) Delete(name string) error { return s.shard(name).Delete(name) }
 
@@ -86,12 +88,48 @@ func (s *ShardedStore) Record(name string) (Recorder, error) {
 // listings. The result is a consistent-per-shard, not globally atomic,
 // snapshot — names created or deleted concurrently may or may not appear.
 func (s *ShardedStore) List() []string {
-	var out []string
+	// bounds[i] is where run i starts in names; the last entry is the end.
+	bounds := make([]int, 0, len(s.shards)+1)
+	var names []string
 	for _, sh := range s.shards {
-		out = append(out, sh.List()...)
+		bounds = append(bounds, len(names))
+		names = append(names, sh.List()...)
 	}
-	sort.Strings(out)
-	return out
+	bounds = append(bounds, len(names))
+	// Merge neighbouring runs pairwise, round by round, between names and
+	// one spare buffer, until one run is left.
+	spare := make([]string, len(names))
+	for len(bounds) > 2 {
+		next := bounds[:0]
+		for i := 0; i+1 < len(bounds); i += 2 {
+			lo, mid, hi := bounds[i], bounds[i+1], bounds[i+1]
+			if i+2 < len(bounds) {
+				hi = bounds[i+2]
+			}
+			mergeRuns(spare[lo:hi], names[lo:mid], names[mid:hi])
+			next = append(next, lo)
+		}
+		bounds = append(next, len(names))
+		names, spare = spare, names
+	}
+	return names
+}
+
+// mergeRuns merges the sorted runs a and b into dst (len(a)+len(b) long).
+func mergeRuns(dst, a, b []string) {
+	i, j, k := 0, 0, 0
+	for i < len(a) && j < len(b) {
+		if b[j] < a[i] {
+			dst[k] = b[j]
+			j++
+		} else {
+			dst[k] = a[i]
+			i++
+		}
+		k++
+	}
+	k += copy(dst[k:], a[i:])
+	copy(dst[k:], b[j:])
 }
 
 // Close closes every shard that holds resources (disk shards; memory

@@ -101,3 +101,75 @@ func TestShardedStoreConcurrent(t *testing.T) {
 		t.Errorf("surviving movies = %d, want %d", got, want)
 	}
 }
+
+// TestShardedListUnderChurn lists a sharded store — over memory and over
+// disk shards — while other goroutines create and delete movies: every
+// listing is sorted and duplicate-free, holds each movie present for the
+// whole call, and holds no name that was never created.
+func TestShardedListUnderChurn(t *testing.T) {
+	for _, disk := range []bool{false, true} {
+		var s *ShardedStore
+		if disk {
+			ds, err := OpenShardedDiskStore(t.TempDir(), 8, DiskConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ds.Close()
+			s = ds
+		} else {
+			s = NewShardedStore(8)
+		}
+		stable := map[string]bool{}
+		for i := 0; i < 40; i++ {
+			name := fmt.Sprintf("stable-%02d", i)
+			stable[name] = true
+			if err := s.Create(&Movie{Name: name, FrameRate: 25}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		for w := 0; w < 3; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := 0; ; i++ {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					name := fmt.Sprintf("churn-%d-%d", w, i%10)
+					if err := s.Create(&Movie{Name: name, FrameRate: 25}); err != nil {
+						t.Error(err)
+						return
+					}
+					if err := s.Delete(name); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}(w)
+		}
+		for round := 0; round < 200; round++ {
+			names := s.List()
+			seen := 0
+			for i, name := range names {
+				if i > 0 && names[i-1] >= name {
+					t.Fatalf("disk=%v: listing not strictly sorted at %d: %q then %q", disk, i, names[i-1], name)
+				}
+				switch {
+				case stable[name]:
+					seen++
+				case len(name) < 6 || name[:6] != "churn-":
+					t.Fatalf("disk=%v: listing holds %q, never created", disk, name)
+				}
+			}
+			if seen != len(stable) {
+				t.Fatalf("disk=%v: listing holds %d of the %d movies present throughout", disk, seen, len(stable))
+			}
+		}
+		close(stop)
+		wg.Wait()
+	}
+}

@@ -2,6 +2,8 @@ package mtp
 
 import (
 	"bytes"
+	"math/rand"
+	"sort"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -161,11 +163,22 @@ func TestStreamLossyPath(t *testing.T) {
 	}
 }
 
+// TestStreamJitteredPathReorders paces a stream over a link whose seeded
+// jitter exceeds the frame spacing, so frames overtake each other: the
+// receiver must still emit them in order, and its jitter estimate must lie
+// in a band around the estimate the link's own delays make.
 func TestStreamJitteredPathReorders(t *testing.T) {
-	movie := moviedb.Synthesize(moviedb.SynthConfig{Name: "jitter", Frames: 200, FrameSize: 100})
+	const (
+		frames = 100
+		rate   = 200 // one frame every 5 ms
+		delay  = time.Millisecond
+		jitter = 15 * time.Millisecond
+		seed   = 3
+	)
+	movie := moviedb.Synthesize(moviedb.SynthConfig{Name: "jitter", Frames: frames, FrameSize: 100})
 	_, rstats, got := streamOver(t, movie.Frames,
-		netsim.Config{Delay: time.Millisecond, Jitter: 3 * time.Millisecond, Seed: 3},
-		StreamConfig{StreamID: 3, EOSRepeats: 10}, ReceiverConfig{Window: 64})
+		netsim.Config{Delay: delay, Jitter: jitter, Seed: seed},
+		StreamConfig{StreamID: 3, FrameRate: rate, EOSRepeats: 10}, ReceiverConfig{Window: 64})
 	if rstats.Delivered == 0 {
 		t.Fatal("nothing delivered")
 	}
@@ -176,9 +189,51 @@ func TestStreamJitteredPathReorders(t *testing.T) {
 		}
 		last = int64(f.Seq)
 	}
-	if rstats.JitterMicro == 0 {
-		t.Error("jitter estimate is zero on a jittered path")
+	want, overtakes := linkJitter(frames, time.Second/rate, delay, jitter, seed)
+	if overtakes == 0 || want == 0 {
+		t.Fatalf("the seeded delays reorder nothing (%d overtakes, jitter %v): the test checks nothing", overtakes, want)
 	}
+	if rstats.Reordered == 0 {
+		t.Errorf("no frame arrived out of order; the link's delays overtake %d times", overtakes)
+	}
+	// What a receiver adds on top of the link — the sender's pacing error
+	// within a wheel tick, the link's and the reader's wake-up latency —
+	// is small against the link's millisecond-scale spread.
+	lo, hi := want/2, want*3/2
+	est := time.Duration(rstats.JitterMicro) * time.Microsecond
+	t.Logf("jitter estimate %v; the link's delays make %v (%d overtakes)", est, want, overtakes)
+	if est < lo || est > hi {
+		t.Errorf("jitter estimate %v outside [%v, %v] around the link's %v", est, lo, hi, want)
+	}
+}
+
+// linkJitter replays netsim's seeded delay draws for n frames sent every
+// period and returns the RFC 3550 estimate an exact receiver would compute
+// (frames in arrival order, transit differences exact), and how many
+// frames arrive before one sent earlier.
+func linkJitter(n int, period, delay, jitter time.Duration, seed int64) (time.Duration, int) {
+	rng := rand.New(rand.NewSource(seed))
+	transit := make([]time.Duration, n)
+	order := make([]int, n)
+	for i := range transit {
+		transit[i] = delay + time.Duration(rng.Int63n(int64(jitter)+1))
+		order[i] = i
+	}
+	arrive := func(i int) time.Duration { return time.Duration(i)*period + transit[i] }
+	sort.SliceStable(order, func(a, b int) bool { return arrive(order[a]) < arrive(order[b]) })
+	var j16 int64
+	overtakes := 0
+	for k := 1; k < n; k++ {
+		if order[k] < order[k-1] {
+			overtakes++
+		}
+		d := int64(transit[order[k]] - transit[order[k-1]])
+		if d < 0 {
+			d = -d
+		}
+		j16 += d - (j16+8)>>4
+	}
+	return time.Duration(j16 >> 4), overtakes
 }
 
 func TestPacingHoldsFrameRate(t *testing.T) {

@@ -26,8 +26,9 @@ type RecvStats struct {
 	Duplicates int
 	Reordered  int
 	Bytes      int64
-	// JitterMicro is the RFC-3550-style smoothed interarrival jitter
-	// estimate, in microseconds.
+	// JitterMicro is the RFC 3550 smoothed interarrival jitter estimate,
+	// in microseconds. Only a paced stream's timestamps are media time, so
+	// an unpaced stream (every TS zero) leaves it 0.
 	JitterMicro int64
 	// Resyncs counts deliberate sequence discontinuities (FlagSync): seeks
 	// and non-zero stream starts, which are not loss.
@@ -110,6 +111,9 @@ func ReceiveStream(conn PacketConn, cfg ReceiverConfig, deliver func(Frame)) (Re
 	var lastArrival time.Time
 	var lastTS uint64
 	haveLast := false
+	// jitter16 is the jitter estimate in ns, scaled by 16 (RFC 3550 A.8),
+	// so the 1/16 gain loses nothing to integer truncation.
+	var jitter16 int64
 
 	// Feedback: reports are marshalled into one buffer reused across
 	// sends — conn.Send must not retain it (PacketConn contract).
@@ -245,14 +249,16 @@ func ReceiveStream(conn PacketConn, cfg ReceiverConfig, deliver func(Frame)) (Re
 			flushUpTo(p.Seq, pending, &stats, deliverPacket, &next, true)
 		}
 		stats.Received++
-		// Interarrival jitter (RFC 3550 §6.4.1 form).
-		if haveLast {
-			transitDelta := arrival.Sub(lastArrival).Microseconds() -
-				(int64(p.TSMicro) - int64(lastTS))
-			if transitDelta < 0 {
-				transitDelta = -transitDelta
+		// Interarrival jitter (RFC 3550 §6.4.1, in A.8's fixed-point
+		// form), from arrival stamps in ns.
+		if haveLast && (p.TSMicro != 0 || lastTS != 0) {
+			d := arrival.Sub(lastArrival).Nanoseconds() -
+				(int64(p.TSMicro)-int64(lastTS))*int64(time.Microsecond)
+			if d < 0 {
+				d = -d
 			}
-			stats.JitterMicro += (transitDelta - stats.JitterMicro) / 16
+			jitter16 += d - (jitter16+8)>>4
+			stats.JitterMicro = (jitter16 >> 4) / int64(time.Microsecond)
 		}
 		haveLast = true
 		lastArrival, lastTS = arrival, p.TSMicro

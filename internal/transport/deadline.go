@@ -11,12 +11,15 @@ import (
 // arriving later is delivered by the next Recv.
 var ErrDeadline = errors.New("transport: receive deadline exceeded")
 
-// DeadlineConn adds a revocable receive deadline to any Conn. The wrapped
-// connection's Recv has no timeout support, so DeadlineConn moves the
-// blocking read into a single pump goroutine and lets Recv wait on its
-// output channel with a timer. A Recv that times out leaves the in-flight
-// message with the pump — no data is lost, only the wait is bounded; the
-// next Recv picks the message up.
+// DeadlineConn adds a revocable receive deadline to any Conn. A Recv that
+// times out loses nothing — only the wait is bounded; the next Recv
+// delivers the message that arrives later.
+//
+// An in-memory pipe keeps the deadline itself (pipeConn.SetRecvDeadline):
+// Recv waits on the pipe's queue with no goroutine or timer of its own in
+// between. Any other Conn — TPKT, or a caller's own — has no timeout on
+// its Recv, so DeadlineConn moves the blocking read into a single pump
+// goroutine and lets Recv wait on the pump's output with a timer.
 //
 // One DeadlineConn owns the wrapped connection's read side; do not call the
 // inner Recv directly afterwards, and do not overlap Recv calls: they share
@@ -25,6 +28,8 @@ var ErrDeadline = errors.New("transport: receive deadline exceeded")
 // goroutine.
 type DeadlineConn struct {
 	inner Conn
+	// pipe is inner when it is an in-memory pipe; then there is no pump.
+	pipe *pipeConn
 
 	msgs chan []byte
 	// done closes when the connection reaches a terminal state (inner
@@ -40,13 +45,15 @@ type DeadlineConn struct {
 	timer *time.Timer
 }
 
-// NewDeadlineConn wraps conn and starts its receive pump.
+// NewDeadlineConn wraps conn, starting a receive pump unless conn is a
+// pipe, which keeps the deadline itself.
 func NewDeadlineConn(conn Conn) *DeadlineConn {
-	d := &DeadlineConn{
-		inner: conn,
-		msgs:  make(chan []byte),
-		done:  make(chan struct{}),
+	d := &DeadlineConn{inner: conn, done: make(chan struct{})}
+	if p, ok := conn.(*pipeConn); ok {
+		d.pipe = p
+		return d
 	}
+	d.msgs = make(chan []byte)
 	go d.pump()
 	return d
 }
@@ -85,6 +92,10 @@ func (d *DeadlineConn) pump() {
 // SetRecvDeadline bounds subsequent Recv calls: a Recv still waiting at the
 // deadline returns ErrDeadline. The zero time removes the bound.
 func (d *DeadlineConn) SetRecvDeadline(t time.Time) {
+	if d.pipe != nil {
+		d.pipe.SetRecvDeadline(t)
+		return
+	}
 	d.mu.Lock()
 	d.deadline = t
 	d.mu.Unlock()
@@ -96,6 +107,9 @@ func (d *DeadlineConn) Send(p []byte) error { return d.inner.Send(p) }
 // Recv implements Conn, honoring the deadline. Once the connection reaches
 // a terminal state, every subsequent Recv returns that error immediately.
 func (d *DeadlineConn) Recv() ([]byte, error) {
+	if d.pipe != nil {
+		return d.recvPipe()
+	}
 	var timeout <-chan time.Time
 	d.mu.Lock()
 	if !d.deadline.IsZero() {
@@ -119,6 +133,21 @@ func (d *DeadlineConn) Recv() ([]byte, error) {
 	case <-timeout:
 		return nil, ErrDeadline
 	}
+}
+
+// recvPipe is Recv on a pipe, which enforces the deadline itself.
+func (d *DeadlineConn) recvPipe() ([]byte, error) {
+	select {
+	case <-d.done:
+		return nil, d.terminalErr()
+	default:
+	}
+	p, err := d.pipe.Recv()
+	if err == nil || err == ErrDeadline {
+		return p, err
+	}
+	d.fail(err)
+	return nil, d.terminalErr()
 }
 
 // Close implements Conn: the inner connection is closed and every pending

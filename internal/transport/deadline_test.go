@@ -93,32 +93,79 @@ func TestDeadlineConnLocalCloseUnblocksRecv(t *testing.T) {
 	}
 }
 
-// TestDeadlineRecvAllocs guards the hand-coded client's receive path: a
-// Recv under a deadline reuses the conn's one timer, so once the first
-// Recv has created it, no Recv allocates.
+// hiddenConn hides a pipe's type, so DeadlineConn treats it as a conn
+// without a native deadline and pumps it.
+type hiddenConn struct{ Conn }
+
+// TestDeadlineRecvAllocs guards the hand-coded client's receive path on
+// both kinds of conn: a Recv under a deadline allocates nothing — on a
+// pipe, which keeps the deadline itself and never parks here, no timer is
+// armed at all; through the pump the conn's one timer is reused.
 func TestDeadlineRecvAllocs(t *testing.T) {
-	const runs = 200
-	a, b := Pipe(runs + 8)
-	d := NewDeadlineConn(a)
-	defer d.Close()
-	defer b.Close()
-	// Queue every message up front: the pipe's copy on Send is the only
-	// allocation of a message, and it stays out of the measured runs.
-	for i := 0; i < runs+2; i++ {
-		if err := b.Send([]byte("m")); err != nil {
-			t.Fatal(err)
+	for _, pumped := range []bool{false, true} {
+		const runs = 200
+		a, b := Pipe(runs + 8)
+		var inner Conn = a
+		if pumped {
+			inner = hiddenConn{a}
 		}
-	}
-	d.SetRecvDeadline(time.Now().Add(time.Minute))
-	if _, err := d.Recv(); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(runs, func() {
+		d := NewDeadlineConn(inner)
+		if (d.pipe == nil) != pumped {
+			t.Fatalf("pumped=%v: DeadlineConn.pipe = %v", pumped, d.pipe)
+		}
+		// Queue every message up front: the pipe's copy on Send is the only
+		// allocation of a message, and it stays out of the measured runs.
+		for i := 0; i < runs+2; i++ {
+			if err := b.Send([]byte("m")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		d.SetRecvDeadline(time.Now().Add(time.Minute))
 		if _, err := d.Recv(); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("deadline Recv allocates %.1f times, want 0", allocs)
+		allocs := testing.AllocsPerRun(runs, func() {
+			d.SetRecvDeadline(time.Now().Add(time.Minute))
+			if _, err := d.Recv(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("pumped=%v: deadline Recv allocates %.1f times, want 0", pumped, allocs)
+		}
+		if arms := a.(*pipeConn).arms; arms != 0 {
+			t.Fatalf("pumped=%v: a Recv that finds its message queued armed the pipe's timer %d times", pumped, arms)
+		}
+		d.Close()
+		b.Close()
+	}
+}
+
+// BenchmarkDeadlinePingPong is the hand-coded client's receive path: each
+// round trip sets a deadline moved forward, sends, and waits in Recv for
+// the echo of a peer that serves with plain Recv and Send.
+func BenchmarkDeadlinePingPong(b *testing.B) {
+	a, peer := Pipe(0)
+	defer peer.Close()
+	go func() {
+		for {
+			p, err := peer.Recv()
+			if err != nil || peer.Send(p) != nil {
+				return
+			}
+		}
+	}()
+	d := NewDeadlineConn(a)
+	defer d.Close()
+	msg := []byte("ping")
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d.SetRecvDeadline(time.Now().Add(time.Minute))
+		if err := d.Send(msg); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := d.Recv(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

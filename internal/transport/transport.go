@@ -13,6 +13,7 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // Conn is a reliable, ordered, message-preserving transport connection.
@@ -34,21 +35,47 @@ var ErrClosed = errors.New("transport: connection closed")
 // channel bounded by the pipe's capacity, read either by Recv or, once a
 // receiver hook is installed (setReceiver), by tryRecv on the goroutine the
 // hook wakes: then no goroutine waits on the queue.
+//
+// A receiver parked in Recv waits on the queue alone. Whatever else must
+// wake it — a close of either end, the receive deadline's timer — arrives
+// in-band as a nil entry (a message is never nil), after the state it
+// announces is set: the woken receiver skips the nil and looks again. A
+// wake that finds the queue full is dropped, since then the receiver is
+// not parked and looks at that state once it has drained a message.
 type pipeConn struct {
 	out  chan<- []byte
-	in   <-chan []byte
+	in   chan []byte
 	peer *pipeConn
-	// closeOut signals this end's close to the peer (idempotent).
-	closeOut func()
-	// closedIn is closed when the peer closes; selfClosed when we do.
-	closedIn   <-chan struct{}
-	selfClosed <-chan struct{}
+	// life is shared by both ends: the pipe is dead once either closes.
+	life *pipeLife
 
 	// onRecv is the receiver hook (nil until installed): called on the
 	// writer's goroutine after each message lands in this end's queue, and
 	// when either end closes.
 	onRecv atomic.Pointer[func()]
+
+	// deadline bounds Recv (nanoseconds on the monotonic clock since
+	// epoch; 0 = none). See SetRecvDeadline.
+	deadline atomic.Int64
+	// timerAt is when timer is due to fire (0 = not armed); the timer
+	// clears it as it fires. Only the receiver arms timer.
+	timerAt atomic.Int64
+	timer   *time.Timer
+	// arms counts the timer's arms (read by tests).
+	arms int
 }
+
+// pipeLife is a pipe's close state, shared by its two ends.
+type pipeLife struct {
+	closed atomic.Bool
+	// dead closes with the first Close, releasing Sends blocked on a full
+	// queue.
+	dead chan struct{}
+}
+
+// epoch is the origin of pipe deadlines: durations since it read the
+// monotonic clock.
+var epoch = time.Now()
 
 // Pipe returns two connected in-memory transport endpoints with queue
 // capacity cap (0 means 1024).
@@ -58,21 +85,9 @@ func Pipe(capacity int) (Conn, Conn) {
 	}
 	ab := make(chan []byte, capacity)
 	ba := make(chan []byte, capacity)
-	aClosed := make(chan struct{})
-	bClosed := make(chan struct{})
-	var aOnce, bOnce sync.Once
-	a := &pipeConn{
-		out: ab, in: ba,
-		closeOut: func() { aOnce.Do(func() { close(aClosed) }) },
-		closedIn: bClosed,
-	}
-	b := &pipeConn{
-		out: ba, in: ab,
-		closeOut: func() { bOnce.Do(func() { close(bClosed) }) },
-		closedIn: aClosed,
-	}
-	a.selfClosed = aClosed
-	b.selfClosed = bClosed
+	life := &pipeLife{dead: make(chan struct{})}
+	a := &pipeConn{out: ab, in: ba, life: life}
+	b := &pipeConn{out: ba, in: ab, life: life}
 	a.peer, b.peer = b, a
 	return a, b
 }
@@ -83,7 +98,7 @@ func Pipe(capacity int) (Conn, Conn) {
 func (c *pipeConn) Send(p []byte) error {
 	// With room in the queue, the blocking select below could still pick
 	// the send after a close.
-	if isClosed(c.selfClosed) || isClosed(c.closedIn) {
+	if c.life.closed.Load() {
 		return ErrClosed
 	}
 	buf := make([]byte, len(p))
@@ -94,9 +109,7 @@ func (c *pipeConn) Send(p []byte) error {
 		// Full: wait for room or a close.
 		select {
 		case c.out <- buf:
-		case <-c.selfClosed:
-			return ErrClosed
-		case <-c.closedIn:
+		case <-c.life.dead:
 			return ErrClosed
 		}
 	}
@@ -104,14 +117,11 @@ func (c *pipeConn) Send(p []byte) error {
 	return nil
 }
 
-// isClosed reports whether the close signal ch has fired. While ch is open
-// the one-case select costs no lock.
-func isClosed(ch <-chan struct{}) bool {
+// wake queues a nil wake for the receiver of q, unless q is full.
+func wake(q chan []byte) {
 	select {
-	case <-ch:
-		return true
+	case q <- nil:
 	default:
-		return false
 	}
 }
 
@@ -128,49 +138,120 @@ func (c *pipeConn) announce() {
 // queued its message by then).
 func (c *pipeConn) setReceiver(fn func()) { c.onRecv.Store(&fn) }
 
-// tryRecv takes the next queued message without blocking. It returns nil,
-// nil when nothing is queued (a message is never nil), and io.EOF once
-// this end is closed, or the peer is closed and the queue drained.
-func (c *pipeConn) tryRecv() ([]byte, error) {
-	select {
-	case p := <-c.in:
-		return p, nil
-	default:
-	}
-	if isClosed(c.selfClosed) {
-		return nil, io.EOF
-	}
-	if !isClosed(c.closedIn) {
-		return nil, nil
-	}
-	// The peer closed; a message may have landed after the first look.
-	select {
-	case p := <-c.in:
-		return p, nil
-	default:
-		return nil, io.EOF
-	}
-}
-
-func (c *pipeConn) Recv() ([]byte, error) {
-	select {
-	case p := <-c.in:
-		return p, nil
-	case <-c.closedIn:
-		// Peer closed; drain what is already queued.
+// take returns the next queued message without blocking, skipping wakes;
+// nil when nothing is queued.
+func (c *pipeConn) take() []byte {
+	for {
 		select {
 		case p := <-c.in:
-			return p, nil
+			if p != nil {
+				return p
+			}
 		default:
-			return nil, io.EOF
+			return nil
 		}
-	case <-c.selfClosed:
-		return nil, io.EOF
 	}
 }
 
+// tryRecv takes the next queued message without blocking. It returns nil,
+// nil when nothing is queued, and io.EOF once the pipe is closed and the
+// queue drained.
+func (c *pipeConn) tryRecv() ([]byte, error) {
+	if p := c.take(); p != nil {
+		return p, nil
+	}
+	if !c.life.closed.Load() {
+		return nil, nil
+	}
+	return c.drained()
+}
+
+// drained is the receive of a closed pipe: what was queued before the
+// close, then io.EOF. It looks at the queue after the close was seen, so a
+// message queued before the close cannot slip past it.
+func (c *pipeConn) drained() ([]byte, error) {
+	if p := c.take(); p != nil {
+		return p, nil
+	}
+	return nil, io.EOF
+}
+
+// Recv implements Conn. Messages queued before a close of either end come
+// first, then io.EOF. Under a receive deadline (SetRecvDeadline) a Recv
+// still waiting at the deadline returns ErrDeadline, and the next Recv
+// delivers whatever arrives later.
+func (c *pipeConn) Recv() ([]byte, error) {
+	for {
+		if c.life.closed.Load() {
+			return c.drained()
+		}
+		if dl := c.deadline.Load(); dl != 0 {
+			// A queued message needs no timer; one that lands after the
+			// deadline has passed is the next Recv's.
+			if p := c.take(); p != nil {
+				return p, nil
+			}
+			if !c.armFor(dl) {
+				return nil, ErrDeadline
+			}
+		}
+		if p := <-c.in; p != nil {
+			return p, nil
+		}
+		// A wake: the pipe closed or the deadline timer fired.
+	}
+}
+
+// SetRecvDeadline bounds subsequent Recv calls: a Recv still waiting at t
+// returns ErrDeadline. The zero time removes the bound. It costs one
+// atomic store: the timer that enforces it is armed by a Recv about to
+// park, and only when no earlier firing is pending.
+func (c *pipeConn) SetRecvDeadline(t time.Time) {
+	var dl int64
+	if !t.IsZero() {
+		// 1 rather than 0 for a deadline at the epoch itself: 0 is none.
+		dl = max(int64(t.Sub(epoch)), 1)
+	}
+	c.deadline.Store(dl)
+}
+
+// armFor reports whether the deadline dl is still ahead and, if it is,
+// makes sure the timer fires no later than dl. A timer due earlier is left
+// alone: a deadline moved forward on every call re-arms it once per
+// firing, not once per call, and the receiver it wakes early parks again.
+func (c *pipeConn) armFor(dl int64) bool {
+	now := int64(time.Since(epoch))
+	if now >= dl {
+		return false
+	}
+	if at := c.timerAt.Load(); at != 0 && at <= dl {
+		return true
+	}
+	c.timerAt.Store(dl)
+	c.arms++
+	if c.timer == nil {
+		c.timer = time.AfterFunc(time.Duration(dl-now), c.deadlineFired)
+	} else {
+		c.timer.Reset(time.Duration(dl - now))
+	}
+	return true
+}
+
+// deadlineFired is the timer's callback: it wakes the receiver, which
+// re-checks the clock and re-arms for a deadline still ahead.
+func (c *pipeConn) deadlineFired() {
+	c.timerAt.Store(0)
+	wake(c.in)
+}
+
+// Close implements Conn: it closes the pipe in both directions. Each end's
+// queue keeps what was sent before, for its receiver to drain.
 func (c *pipeConn) Close() error {
-	c.closeOut()
+	if c.life.closed.CompareAndSwap(false, true) {
+		close(c.life.dead)
+		wake(c.in)
+		wake(c.peer.in)
+	}
 	c.announce()
 	c.peer.announce()
 	return nil
@@ -184,6 +265,9 @@ type tpktConn struct {
 	readMu  sync.Mutex
 	writeMu sync.Mutex
 	hdr     [4]byte
+	// wbuf is the frame being written, header and body, reused across
+	// Sends (guarded by writeMu).
+	wbuf []byte
 }
 
 const (
@@ -194,7 +278,8 @@ const (
 // NewTPKT wraps a stream connection in TPKT framing.
 func NewTPKT(nc net.Conn) Conn { return &tpktConn{nc: nc} }
 
-// Send implements Conn; p is fully written to the socket before return.
+// Send implements Conn; p is fully written to the socket, in one Write of
+// header and body together, before return.
 //
 //xmovie:noretain p
 func (c *tpktConn) Send(p []byte) error {
@@ -203,14 +288,11 @@ func (c *tpktConn) Send(p []byte) error {
 	}
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
-	var hdr [4]byte
-	hdr[0] = tpktVersion
-	binary.BigEndian.PutUint16(hdr[2:], uint16(len(p)+4))
-	if _, err := c.nc.Write(hdr[:]); err != nil {
-		return fmt.Errorf("transport: write header: %w", err)
-	}
-	if _, err := c.nc.Write(p); err != nil {
-		return fmt.Errorf("transport: write body: %w", err)
+	c.wbuf = append(c.wbuf[:0], tpktVersion, 0, 0, 0)
+	binary.BigEndian.PutUint16(c.wbuf[2:], uint16(len(p)+4))
+	c.wbuf = append(c.wbuf, p...)
+	if _, err := c.nc.Write(c.wbuf); err != nil {
+		return fmt.Errorf("transport: write: %w", err)
 	}
 	return nil
 }

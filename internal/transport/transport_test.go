@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"io"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -590,5 +591,201 @@ func TestPipePushFullBoundBothWays(t *testing.T) {
 	}
 	if rst := responder.Body().(*tUser); rst.received != capacity || !rst.done {
 		t.Errorf("responder received=%d done=%v", rst.received, rst.done)
+	}
+}
+
+// recvAsync runs one Recv on its own goroutine.
+func recvAsync(c Conn) <-chan error {
+	got := make(chan error, 1)
+	go func() {
+		_, err := c.Recv()
+		got <- err
+	}()
+	return got
+}
+
+// TestPipeParkedRecvEOFOnClose parks a Recv on an empty pipe and closes
+// either end: the close wakes it in-band with io.EOF.
+func TestPipeParkedRecvEOFOnClose(t *testing.T) {
+	for _, local := range []bool{true, false} {
+		a, b := Pipe(4)
+		got := recvAsync(a)
+		time.Sleep(5 * time.Millisecond) // let the Recv park
+		if local {
+			a.Close()
+		} else {
+			b.Close()
+		}
+		select {
+		case err := <-got:
+			if err != io.EOF {
+				t.Fatalf("parked Recv across close (local=%v) = %v, want EOF", local, err)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("parked Recv did not wake on close (local=%v)", local)
+		}
+	}
+}
+
+// TestPipeQueuedBeforeCloseArriveFirst closes a pipe holding a full queue
+// (so the close's wake finds no room) from either end: every message
+// queued before the close arrives, in order, then io.EOF, and EOF stays.
+func TestPipeQueuedBeforeCloseArriveFirst(t *testing.T) {
+	const capacity = 4
+	for _, local := range []bool{true, false} {
+		a, b := Pipe(capacity)
+		for i := 0; i < capacity; i++ {
+			if err := b.Send([]byte{byte('0' + i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if local {
+			a.Close()
+		} else {
+			b.Close()
+		}
+		for i := 0; i < capacity; i++ {
+			p, err := a.Recv()
+			if err != nil || len(p) != 1 || p[0] != byte('0'+i) {
+				t.Fatalf("Recv %d after close (local=%v) = %q, %v", i, local, p, err)
+			}
+		}
+		for i := 0; i < 3; i++ {
+			if _, err := a.Recv(); err != io.EOF {
+				t.Fatalf("Recv past the queue (local=%v) = %v, want EOF", local, err)
+			}
+		}
+		if err := b.Send([]byte("x")); err != ErrClosed {
+			t.Fatalf("Send after close = %v, want ErrClosed", err)
+		}
+	}
+}
+
+// TestPipeDeadlineLosesNothing: a Recv under a passed deadline returns
+// ErrDeadline, and the message that lands afterwards comes from the next
+// Recv — on the pipe itself and through DeadlineConn.
+func TestPipeDeadlineLosesNothing(t *testing.T) {
+	a, b := Pipe(4)
+	defer b.Close()
+	pc := a.(*pipeConn)
+	pc.SetRecvDeadline(time.Now().Add(20 * time.Millisecond))
+	start := time.Now()
+	if _, err := pc.Recv(); err != ErrDeadline {
+		t.Fatalf("Recv on a silent peer = %v, want ErrDeadline", err)
+	}
+	if took := time.Since(start); took < 20*time.Millisecond {
+		t.Fatalf("deadline fired after %v, before the 20ms it was set to", took)
+	}
+	if err := b.Send([]byte("late")); err != nil {
+		t.Fatal(err)
+	}
+	if p, err := pc.Recv(); err != nil || string(p) != "late" {
+		t.Fatalf("Recv after the timeout = %q, %v", p, err)
+	}
+	// A message already queued wins over a passed deadline.
+	pc.SetRecvDeadline(time.Now().Add(-time.Second))
+	if err := b.Send([]byte("queued")); err != nil {
+		t.Fatal(err)
+	}
+	if p, err := pc.Recv(); err != nil || string(p) != "queued" {
+		t.Fatalf("Recv under a passed deadline with a message queued = %q, %v", p, err)
+	}
+	if d := NewDeadlineConn(a); d.pipe == nil || d.msgs != nil {
+		t.Fatal("a pipe must keep its own deadline, with no pump")
+	}
+}
+
+// TestPipeDeadlineMovedForwardNeverFiresEarly moves the deadline forward on
+// every call, as IsodeClient.Call does, for several deadline periods: no
+// Recv times out, and the timer is armed once per firing, not per call.
+func TestPipeDeadlineMovedForwardNeverFiresEarly(t *testing.T) {
+	const (
+		calls   = 120
+		timeout = 25 * time.Millisecond
+	)
+	a, b := Pipe(4)
+	defer a.Close()
+	defer b.Close()
+	go func() { // echo, slowly enough that the loop outlives many deadlines
+		for {
+			p, err := b.Recv()
+			if err != nil {
+				return
+			}
+			time.Sleep(time.Millisecond)
+			if b.Send(p) != nil {
+				return
+			}
+		}
+	}()
+	d := NewDeadlineConn(a)
+	start := time.Now()
+	for i := 0; i < calls; i++ {
+		dl := time.Now().Add(timeout)
+		d.SetRecvDeadline(dl)
+		if err := d.Send([]byte("ping")); err != nil {
+			t.Fatal(err)
+		}
+		_, err := d.Recv()
+		switch {
+		case err == ErrDeadline && time.Now().Before(dl):
+			t.Fatalf("call %d: deadline fired before %v", i, dl)
+		case err != nil && err != ErrDeadline:
+			t.Fatalf("call %d: %v", i, err)
+		}
+		// ErrDeadline at or past dl is a host stall longer than the
+		// timeout: the answer is late, not lost, and the next Recv takes it.
+	}
+	elapsed := time.Since(start)
+	// One arm per timer firing (at most one per timeout), plus the first.
+	if limit := int(elapsed/timeout) + 2; a.(*pipeConn).arms > limit {
+		t.Fatalf("timer armed %d times in %d calls over %v, want <= %d",
+			a.(*pipeConn).arms, calls, elapsed, limit)
+	}
+}
+
+// countingConn is a net.Conn whose writes are counted and collected.
+type countingConn struct {
+	net.Conn
+	writes int
+	buf    bytes.Buffer
+}
+
+func (c *countingConn) Write(p []byte) (int, error) {
+	c.writes++
+	return c.buf.Write(p)
+}
+
+// TestTPKTSendOneWrite pins TPKT framing at one Write per message, and
+// Send at no allocation once its frame buffer has grown.
+func TestTPKTSendOneWrite(t *testing.T) {
+	nc := &countingConn{}
+	c := NewTPKT(nc)
+	msgs := [][]byte{[]byte("a"), bytes.Repeat([]byte("b"), 300), {}}
+	for _, m := range msgs {
+		if err := c.Send(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if nc.writes != len(msgs) {
+		t.Fatalf("%d messages took %d writes, want one each", len(msgs), nc.writes)
+	}
+	var want []byte
+	for _, m := range msgs {
+		want = append(want, tpktVersion, 0, byte((len(m)+4)>>8), byte(len(m)+4))
+		want = append(want, m...)
+	}
+	if !bytes.Equal(nc.buf.Bytes(), want) {
+		t.Fatalf("wire bytes %x, want %x", nc.buf.Bytes(), want)
+	}
+	msg := bytes.Repeat([]byte("m"), 200)
+	allocs := testing.AllocsPerRun(100, func() {
+		nc.buf.Reset()
+		if err := c.Send(msg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("TPKT Send allocates %.1f times, want 0", allocs)
 	}
 }
