@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test test-short race-wake verify fmt-check vet lint cross generate generate-check \
+.PHONY: build test test-short race-wake flake-census verify fmt-check vet lint cross generate generate-check \
 	metrics-guard bench-check bench-smoke bench-guard fuzz-smoke ci
 
 build:
@@ -17,12 +17,36 @@ test:
 test-short:
 	$(GO) test -short -race ./...
 
-# The wake-discipline, pipe-push and pipe wake/deadline tests, twenty
-# times under the race detector: a lost wake or a misordered delivery shows
-# as an intermittent stall, which one run may not hit.
+# The wake-discipline, pipe-push, inbox wake/deadline and adopted-inbox
+# bound tests, twenty times under the race detector: a lost wake or a
+# misordered delivery shows as an intermittent stall, which one run may not
+# hit.
 race-wake:
 	$(GO) test -race -count=20 -run='TestNoLostWake|TestLazyClockMaturesDelayWhileBusy|TestSchedulerReadsNoClockWithoutDelays' ./internal/estelle
-	$(GO) test -race -count=20 -run='TestPipePush|TestPipeSendAfterPeerCloseFails|TestTPKTReportsEOFOnce|TestConnProviderBridgesRealPipe|TestPipeParkedRecvEOFOnClose|TestPipeQueuedBeforeCloseArriveFirst|TestPipeDeadline|TestDeadline' ./internal/transport
+	$(GO) test -race -count=20 -run='TestPipePush|TestPipeSendAfterPeerCloseFails|TestTPKTReportsEOFOnce|TestConnProviderBridgesRealPipe|TestPipeParkedRecvEOFOnClose|TestPipeQueuedBeforeCloseArriveFirst|TestPipeDeadline|TestDeadline|TestAdoptedInbox' ./internal/transport
+
+# Flake census: every package's tests twenty times, then the short matrix
+# five times under the race detector. For each phase it prints how many
+# test runs passed, then each test that failed at least once with its
+# failure count, and as "(package)" the failed package runs: those count a
+# build failure, a panic or a timeout too. The failed tests' messages
+# follow. It fails when anything failed. Slow (tens of minutes); CI runs
+# it nightly.
+flake-census:
+	@out="$$(mktemp -d)"; trap 'rm -rf "$$out"' EXIT; \
+	$(GO) test -count=20 -json ./... >"$$out/full" 2>&1; \
+	$(GO) test -short -race -count=5 -json ./... >"$$out/race" 2>&1; \
+	status=0; for phase in full race; do \
+		echo "$$phase: $$(grep '"Test":' "$$out/$$phase" | grep -c '"Action":"pass"') test runs passed; failed (count, package, test):"; \
+		grep '"Action":"fail"' "$$out/$$phase" | \
+			sed -E -e 's/.*"Package":"([^"]*)","Test":"([^"]*)".*/\1 \2/' -e t -e 's/.*"Package":"([^"]*)".*/\1 (package)/' | \
+			sort | uniq -c; \
+		grep '"Action":"fail"' "$$out/$$phase" | grep '"Test":' | \
+			sed -E 's/.*("Test":"[^"]*").*/\1,"Output"/' | sort -u >"$$out/keys"; \
+		grep '"Action":"output"' "$$out/$$phase" | grep -F -f "$$out/keys" | grep -E '_test\.go:[0-9]+: ' | \
+			sed -E -e 's/.*"Output":"(.*)"\}$$/\1/' -e 's/\\n$$//' -e 's/\\t/ /g'; \
+		if grep -q '"Action":"fail"' "$$out/$$phase"; then status=1; fi; \
+	done; exit $$status
 
 # Tier-1 verify: exactly what reviewers and the CI gate run.
 verify: build test metrics-guard lint bench-check
@@ -101,15 +125,16 @@ bench-guard:
 	$(GO) test -run='^$$' -bench='BenchmarkDiskStream|BenchmarkDSARemove' -benchtime=10x -benchmem ./internal/moviedb ./internal/directory
 
 # Fuzz smoke: each native fuzz target for ten seconds — the typed MCAM and
-# presentation decoders against their schema oracle, and the SPDU parser's
-# round trip. `make test` already replays the committed seed corpora
-# (testdata/fuzz); this explores past them. An input that fails is written
+# presentation decoders against their schema oracle, the SPDU parser's round
+# trip, and TPKT framing. `make test` already replays the committed seed
+# corpora (testdata/fuzz); this explores past them. An input that fails is written
 # into the package's testdata/fuzz, where, once committed, `make test`
 # replays it.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzDecode$$' -fuzztime=10s ./internal/mcam
 	$(GO) test -run='^$$' -fuzz='^FuzzDecode$$' -fuzztime=10s ./internal/presentation
 	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=10s ./internal/session
+	$(GO) test -run='^$$' -fuzz='^FuzzTPKTRecv$$' -fuzztime=10s ./internal/transport
 
 # Everything CI checks, locally.
 ci: fmt-check vet lint cross bench-check build generate-check test-short race-wake test fuzz-smoke bench-smoke bench-guard

@@ -12,11 +12,12 @@ import (
 	"xmovie/internal/transport"
 )
 
-// readLoops counts goroutines parked in a transport reader.
+// readLoops counts goroutines running a transport reader: the one an
+// adopted conn (any conn but a pipe end) runs to fill its inbox.
 func readLoops() int {
 	buf := make([]byte, 1<<20)
 	buf = buf[:runtime.Stack(buf, true)]
-	return bytes.Count(buf, []byte("(*connBody).readLoop"))
+	return bytes.Count(buf, []byte("(*adoptedConn).read("))
 }
 
 // settledGoroutines waits until goroutines left over by earlier tests have
@@ -44,8 +45,27 @@ func settledGoroutines(t *testing.T) int {
 // reaper. After the clients go, orderly or abruptly, the count returns to
 // where it started.
 func TestIdlePipeAssociationGoroutines(t *testing.T) {
+	idleAssociations(t, StackGenerated, "", 2, 0)
+}
+
+// TestIdleTCPAssociationGoroutines pins the same over TPKT on TCP, where
+// every conn but the hand-coded server's is adopted: a generated
+// association owns each side's unit plus one reader per side, a hand-coded
+// one the server's goroutine plus the client's reader. No reader outlives
+// its association.
+func TestIdleTCPAssociationGoroutines(t *testing.T) {
+	t.Run("generated", func(t *testing.T) { idleAssociations(t, StackGenerated, "127.0.0.1:0", 4, 2) })
+	t.Run("handcoded", func(t *testing.T) { idleAssociations(t, StackHandcoded, "127.0.0.1:0", 2, 1) })
+}
+
+// idleAssociations opens 16 associations on stack, over pipes when addr is
+// empty and over TCP to a server listening on addr otherwise, and checks
+// that each adds perAssoc goroutines, readers of them transport readers.
+// Then it ends them, half orderly and half abruptly, and checks that the
+// goroutine count returns to where it started with no reader left.
+func idleAssociations(t *testing.T, stack StackKind, addr string, perAssoc, readers int) {
 	env, _ := loadEnv(t)
-	srv, err := NewServer(ServerConfig{Env: env, TeardownGrace: 2 * time.Second})
+	srv, err := NewServer(ServerConfig{Addr: addr, Stack: stack, Env: env, TeardownGrace: 2 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,11 +76,17 @@ func TestIdlePipeAssociationGoroutines(t *testing.T) {
 	clients := make([]*Client, n)
 	ends := make([]transport.Conn, n)
 	for i := range clients {
-		cliEnd, srvEnd := transport.Pipe(0)
-		if err := srv.ServeConn(srvEnd); err != nil {
+		var cliEnd transport.Conn
+		if addr == "" {
+			var srvEnd transport.Conn
+			cliEnd, srvEnd = transport.Pipe(0)
+			if err := srv.ServeConn(srvEnd); err != nil {
+				t.Fatal(err)
+			}
+		} else if cliEnd, err = transport.Dial(srv.Addr()); err != nil {
 			t.Fatal(err)
 		}
-		c, err := NewClientConn(cliEnd, ClientConfig{CallTimeout: 5 * time.Second})
+		c, err := NewClientConn(cliEnd, ClientConfig{Stack: stack, CallTimeout: 5 * time.Second})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,17 +95,19 @@ func TestIdlePipeAssociationGoroutines(t *testing.T) {
 		}
 		clients[i], ends[i] = c, cliEnd
 	}
-	waitFor(t, 5*time.Second, func() bool { return runtime.NumGoroutine()-base == 2*n })
-	if got := srv.sched.Units(); got != n {
-		t.Errorf("server units = %d, want %d (one per association)", got, n)
-	}
-	for i, c := range clients {
-		if got := c.sched.Units(); got != 1 {
-			t.Errorf("client %d units = %d, want 1", i, got)
+	waitFor(t, 5*time.Second, func() bool { return runtime.NumGoroutine()-base == perAssoc*n })
+	if stack == StackGenerated {
+		if got := srv.sched.Units(); got != n {
+			t.Errorf("server units = %d, want %d (one per association)", got, n)
+		}
+		for i, c := range clients {
+			if got := c.sched.Units(); got != 1 {
+				t.Errorf("client %d units = %d, want 1", i, got)
+			}
 		}
 	}
-	if r := readLoops(); r != 0 {
-		t.Errorf("%d transport readers running over pipes, want 0", r)
+	if r := readLoops(); r != readers*n {
+		t.Errorf("%d transport readers running, want %d", r, readers*n)
 	}
 
 	for i, c := range clients {
@@ -91,13 +119,18 @@ func TestIdlePipeAssociationGoroutines(t *testing.T) {
 		}
 		// Abrupt: the client dies with its transport, releasing nothing.
 		ends[i].Close()
-		c.sched.Stop()
+		if c.sched != nil {
+			c.sched.Stop()
+		}
 	}
 	waitFor(t, 10*time.Second, func() bool {
 		return srv.Observe().Sessions.Active == 0 && runtime.NumGoroutine() == base
 	})
 	if got := srv.Observe().Sessions.Completed; got != n {
 		t.Errorf("completed = %d, want %d", got, n)
+	}
+	if r := readLoops(); r != 0 {
+		t.Errorf("%d transport readers left after teardown, want 0", r)
 	}
 }
 

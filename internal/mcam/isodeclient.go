@@ -30,7 +30,7 @@ type IsodeClient struct {
 	encBuf []byte
 	// dc/timeout, when set by DialIsodeTimeout, bound every receive wait:
 	// a dead server surfaces as ErrTimeout instead of a hung Call.
-	dc      *transport.DeadlineConn
+	dc      transport.DeadlineConn
 	timeout time.Duration
 }
 

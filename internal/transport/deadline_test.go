@@ -85,39 +85,51 @@ func TestDeadlineConnLocalCloseUnblocksRecv(t *testing.T) {
 	d.Close()
 	select {
 	case err := <-got:
-		if !errors.Is(err, ErrClosed) {
-			t.Fatalf("Recv across local close = %v, want ErrClosed", err)
+		if err != io.EOF {
+			t.Fatalf("Recv across local close = %v, want EOF", err)
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("Recv did not unblock on local close")
 	}
 }
 
-// hiddenConn hides a pipe's type, so DeadlineConn treats it as a conn
-// without a native deadline and pumps it.
+// hiddenConn hides a pipe's type, so NewDeadlineConn treats it as a conn
+// without an inbox and adopts it.
 type hiddenConn struct{ Conn }
 
 // TestDeadlineRecvAllocs guards the hand-coded client's receive path on
-// both kinds of conn: a Recv under a deadline allocates nothing — on a
-// pipe, which keeps the deadline itself and never parks here, no timer is
-// armed at all; through the pump the conn's one timer is reused.
+// both kinds of conn: a Recv under a deadline that finds its message
+// queued allocates nothing and arms no timer — on a pipe, which keeps the
+// deadline itself, and on an adopted conn, whose reader has moved the
+// message into the inbox.
 func TestDeadlineRecvAllocs(t *testing.T) {
-	for _, pumped := range []bool{false, true} {
+	for _, adopt := range []bool{false, true} {
 		const runs = 200
 		a, b := Pipe(runs + 8)
 		var inner Conn = a
-		if pumped {
+		if adopt {
 			inner = hiddenConn{a}
 		}
 		d := NewDeadlineConn(inner)
-		if (d.pipe == nil) != pumped {
-			t.Fatalf("pumped=%v: DeadlineConn.pipe = %v", pumped, d.pipe)
+		ad, adopted := d.(*adoptedConn)
+		if adopted != adopt {
+			t.Fatalf("adopt=%v: NewDeadlineConn returned %T", adopt, d)
 		}
 		// Queue every message up front: the pipe's copy on Send is the only
 		// allocation of a message, and it stays out of the measured runs.
 		for i := 0; i < runs+2; i++ {
 			if err := b.Send([]byte("m")); err != nil {
 				t.Fatal(err)
+			}
+		}
+		if adopted {
+			// The reader moves every message into the inbox before the
+			// measured Recvs find it there.
+			for deadline := time.Now().Add(5 * time.Second); len(ad.q) < runs+2; {
+				if time.Now().After(deadline) {
+					t.Fatalf("adopted inbox holds %d of %d messages", len(ad.q), runs+2)
+				}
+				time.Sleep(time.Millisecond)
 			}
 		}
 		d.SetRecvDeadline(time.Now().Add(time.Minute))
@@ -131,10 +143,13 @@ func TestDeadlineRecvAllocs(t *testing.T) {
 			}
 		})
 		if allocs != 0 {
-			t.Fatalf("pumped=%v: deadline Recv allocates %.1f times, want 0", pumped, allocs)
+			t.Fatalf("adopt=%v: deadline Recv allocates %.1f times, want 0", adopt, allocs)
 		}
 		if arms := a.(*pipeConn).arms; arms != 0 {
-			t.Fatalf("pumped=%v: a Recv that finds its message queued armed the pipe's timer %d times", pumped, arms)
+			t.Fatalf("adopt=%v: a Recv that finds its message queued armed the pipe's timer %d times", adopt, arms)
+		}
+		if adopted && ad.arms != 0 {
+			t.Fatalf("a Recv that finds its message queued armed the adopted inbox's timer %d times", ad.arms)
 		}
 		d.Close()
 		b.Close()

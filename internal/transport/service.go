@@ -102,9 +102,9 @@ func SystemPipeProviderDef() *estelle.ModuleDef {
 // of the paper's hand-coded ISODE interface module (§4.3): a loop that maps
 // Estelle interactions onto library calls and back.
 //
-// A pipe needs no reader: its writer queues each message and notifies the
-// module, and Step takes it. Any other Conn gets a reader goroutine that
-// blocks in Recv and hands what it reads to Step through rx.
+// The module reads the conn's inbox (see withInbox): a pipe's writer, or
+// an adopted conn's reader, queues each message and notifies the module,
+// and Step takes it.
 type connBody struct {
 	conn     Conn
 	accepted bool
@@ -112,17 +112,10 @@ type connBody struct {
 	// right after the TDisInd that reports the transport gone.
 	onGone func()
 
-	// Owned by Step (the scheduler's goroutine), set when it first runs:
-	// pipe is conn when it pushes, else rx carries the reader's events.
-	started bool
-	gone    bool
-	pipe    *pipeConn
-	rx      chan connEvent
-}
-
-type connEvent struct {
-	data []byte
-	dis  bool
+	// Owned by Step (the scheduler's goroutine): in is conn's inbox, set
+	// when Step first runs, and conn is from then on the conn that owns it.
+	in   *inbox
+	gone bool
 }
 
 // ConnProviderDef returns a transport provider module def whose single
@@ -157,7 +150,7 @@ func SystemConnProviderDef(conn Conn, accepted bool) *estelle.ModuleDef {
 // library calls, then translate pending library events into Estelle outputs.
 func (b *connBody) Step(ctx *estelle.Ctx) bool {
 	ip := ctx.Self().IP("U")
-	if !b.started {
+	if b.in == nil {
 		b.start(ctx)
 	}
 	worked := false
@@ -185,13 +178,13 @@ func (b *connBody) Step(ctx *estelle.Ctx) bool {
 		in.Release()
 	}
 	for !b.gone {
-		ev, ok := b.next()
-		if !ok {
+		p, err := b.in.tryRecv()
+		if p == nil && err == nil {
 			break
 		}
 		worked = true
-		if !ev.dis {
-			ctx.Output("U", "TDatInd", ev.data)
+		if p != nil {
+			ctx.Output("U", "TDatInd", p)
 			continue
 		}
 		b.gone = true
@@ -203,49 +196,12 @@ func (b *connBody) Step(ctx *estelle.Ctx) bool {
 	return worked
 }
 
-// next takes the next event from below, if one is pending.
-func (b *connBody) next() (connEvent, bool) {
-	if b.pipe != nil {
-		p, err := b.pipe.tryRecv()
-		return connEvent{data: p, dis: err != nil}, p != nil || err != nil
-	}
-	select {
-	case ev := <-b.rx:
-		return ev, true
-	default:
-		return connEvent{}, false
-	}
-}
-
-// start runs on the first Step: it hooks a pipe's receiver to this module,
-// or starts the reader for any other Conn, and announces an incoming
-// connection on the called side.
+// start runs on the first Step: it hooks the conn's inbox to this module
+// and announces an incoming connection on the called side.
 func (b *connBody) start(ctx *estelle.Ctx) {
-	b.started = true
-	self := ctx.Self()
-	if p, ok := b.conn.(*pipeConn); ok {
-		b.pipe = p
-		p.setReceiver(self.Notify)
-	} else {
-		// The reader runs at most this far ahead of Step before Recv, and
-		// with it the TCP peer, waits: the default pipe capacity.
-		b.rx = make(chan connEvent, 1024)
-		go b.readLoop(self)
-	}
+	b.conn, b.in = withInbox(b.conn)
+	b.in.setReceiver(ctx.Self().Notify)
 	if b.accepted {
 		ctx.Output("U", "TConInd", "")
-	}
-}
-
-func (b *connBody) readLoop(self *estelle.Instance) {
-	for {
-		p, err := b.conn.Recv()
-		if err != nil {
-			b.rx <- connEvent{dis: true}
-			self.Notify()
-			return
-		}
-		b.rx <- connEvent{data: p}
-		self.Notify()
 	}
 }

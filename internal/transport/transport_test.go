@@ -214,6 +214,10 @@ func tUserDef(name string, n int, initiate bool) *estelle.ModuleDef {
 							st.done = true
 							ctx.Output("T", "TDisReq")
 						}
+					} else if st.n > 0 && st.received == st.n {
+						// The responder's last: disconnect instead of echoing.
+						st.done = true
+						ctx.Output("T", "TDisReq")
 					} else {
 						// Echo back.
 						ctx.Output("T", "TDatReq", ctx.Msg.Bytes(0))
@@ -228,36 +232,52 @@ func tUserDef(name string, n int, initiate bool) *estelle.ModuleDef {
 	}
 }
 
+// TestPipeProviderModule runs the pipe module between an initiator and an
+// echoing responder, closed from either side: by the initiator after its
+// ten data units (dis-AB), or by the responder on the third (dis-BA), whose
+// TDisReq must reach the initiator as TDisInd.
 func TestPipeProviderModule(t *testing.T) {
-	rt := estelle.NewRuntime(estelle.WithStrict())
-	pipe, err := rt.AddSystem(SystemPipeProviderDef(), "pipe")
-	if err != nil {
-		t.Fatal(err)
-	}
-	initiator, err := rt.AddSystem(tUserDef("Initiator", 10, true), "init")
-	if err != nil {
-		t.Fatal(err)
-	}
-	responder, err := rt.AddSystem(tUserDef("Responder", 0, false), "resp")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rt.Connect(initiator.IP("T"), pipe.IP("A")); err != nil {
-		t.Fatal(err)
-	}
-	if err := rt.Connect(responder.IP("T"), pipe.IP("B")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := estelle.NewStepper(rt).RunUntilIdle(10000); err != nil {
-		t.Fatal(err)
-	}
-	st := initiator.Body().(*tUser)
-	if st.sent != 10 || st.received != 10 || !st.done {
-		t.Errorf("initiator sent=%d received=%d done=%v", st.sent, st.received, st.done)
-	}
-	rst := responder.Body().(*tUser)
-	if rst.received != 10 {
-		t.Errorf("responder received=%d", rst.received)
+	for _, tc := range []struct {
+		name  string
+		respN int // data units after which the responder disconnects; 0 = never
+		// what the initiator has sent and received when it hears TDisInd
+		sent, received int
+	}{
+		{"initiator-closes", 0, 10, 10},
+		{"responder-closes", 3, 3, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rt := estelle.NewRuntime(estelle.WithStrict())
+			pipe, err := rt.AddSystem(SystemPipeProviderDef(), "pipe")
+			if err != nil {
+				t.Fatal(err)
+			}
+			initiator, err := rt.AddSystem(tUserDef("Initiator", 10, true), "init")
+			if err != nil {
+				t.Fatal(err)
+			}
+			responder, err := rt.AddSystem(tUserDef("Responder", tc.respN, false), "resp")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := rt.Connect(initiator.IP("T"), pipe.IP("A")); err != nil {
+				t.Fatal(err)
+			}
+			if err := rt.Connect(responder.IP("T"), pipe.IP("B")); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := estelle.NewStepper(rt).RunUntilIdle(10000); err != nil {
+				t.Fatal(err)
+			}
+			st := initiator.Body().(*tUser)
+			if st.sent != tc.sent || st.received != tc.received || !st.done {
+				t.Errorf("initiator sent=%d received=%d done=%v", st.sent, st.received, st.done)
+			}
+			rst := responder.Body().(*tUser)
+			if rst.received != tc.sent || !rst.done {
+				t.Errorf("responder received=%d done=%v", rst.received, rst.done)
+			}
+		})
 	}
 }
 
@@ -298,12 +318,11 @@ func TestConnProviderBridgesRealPipe(t *testing.T) {
 	if !rst.done {
 		t.Errorf("responder not notified of disconnect: %+v", rst)
 	}
-	// Both ends are pipes: each provider took the receiver hook, so no
-	// reader goroutine (and no rx channel for one) was ever started.
-	for _, prov := range []*estelle.Instance{provA, provB} {
-		b := prov.Def().External.(*connBody)
-		if b.pipe == nil || b.rx != nil {
-			t.Errorf("%s: pipe hooked = %v, reader started = %v", prov.Name(), b.pipe != nil, b.rx != nil)
+	// Both ends are pipes: each provider took the pipe's own inbox, so no
+	// adopter (and no reader goroutine for one) was ever started.
+	for prov, end := range map[*estelle.Instance]Conn{provA: ca, provB: cb} {
+		if b := prov.Def().External.(*connBody); b.conn != end {
+			t.Errorf("%s: pipe adopted as %T, want the pipe end itself", prov.Name(), b.conn)
 		}
 	}
 }
@@ -503,8 +522,8 @@ func TestTPKTReportsEOFOnce(t *testing.T) {
 	if len(r.data) != 1 || r.data[0] != "last" || r.dis != 1 || gone != 1 {
 		t.Fatalf("delivered %q, TDisInd %d, onGone %d; want [last], 1, 1", r.data, r.dis, gone)
 	}
-	if b := prov.Def().External.(*connBody); b.pipe != nil || b.rx == nil {
-		t.Fatal("a TPKT conn must be read by the reader goroutine")
+	if b := prov.Def().External.(*connBody); b.conn == conn || b.in == nil {
+		t.Fatal("a TPKT conn must be adopted, its reader filling the module's inbox")
 	}
 }
 
@@ -661,6 +680,25 @@ func TestPipeQueuedBeforeCloseArriveFirst(t *testing.T) {
 	}
 }
 
+// TestPipeEOFIsFinal puts a message into a pipe end's queue after its
+// receiver has seen EOF, as a Send that read the closed flag just before a
+// Close does: it is never delivered, and EOF stays.
+func TestPipeEOFIsFinal(t *testing.T) {
+	a, b := Pipe(4)
+	a.Close()
+	if _, err := b.Recv(); err != io.EOF {
+		t.Fatalf("Recv after close = %v, want EOF", err)
+	}
+	pb := b.(*pipeConn)
+	pb.q <- []byte("late")
+	if p, err := b.Recv(); err != io.EOF {
+		t.Fatalf("Recv after EOF = %q, %v; want EOF", p, err)
+	}
+	if p, err := pb.tryRecv(); err != io.EOF {
+		t.Fatalf("tryRecv after EOF = %q, %v; want EOF", p, err)
+	}
+}
+
 // TestPipeDeadlineLosesNothing: a Recv under a passed deadline returns
 // ErrDeadline, and the message that lands afterwards comes from the next
 // Recv — on the pipe itself and through DeadlineConn.
@@ -690,8 +728,8 @@ func TestPipeDeadlineLosesNothing(t *testing.T) {
 	if p, err := pc.Recv(); err != nil || string(p) != "queued" {
 		t.Fatalf("Recv under a passed deadline with a message queued = %q, %v", p, err)
 	}
-	if d := NewDeadlineConn(a); d.pipe == nil || d.msgs != nil {
-		t.Fatal("a pipe must keep its own deadline, with no pump")
+	if d := NewDeadlineConn(a); d != a {
+		t.Fatalf("NewDeadlineConn wrapped a pipe in %T: a pipe keeps its own deadline", d)
 	}
 }
 
