@@ -3,6 +3,7 @@ package transport
 import (
 	"errors"
 	"io"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -122,21 +123,20 @@ func TestDeadlineRecvAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if adopted {
-			// The reader moves every message into the inbox before the
-			// measured Recvs find it there.
-			for deadline := time.Now().Add(5 * time.Second); len(ad.q) < runs+2; {
-				if time.Now().After(deadline) {
-					t.Fatalf("adopted inbox holds %d of %d messages", len(ad.q), runs+2)
-				}
-				time.Sleep(time.Millisecond)
+		// The adopted inbox holds one message: before each Recv, wait until
+		// the reader has moved the next one in.
+		queued := func() {
+			for adopted && len(ad.q) == 0 {
+				runtime.Gosched()
 			}
 		}
+		queued()
 		d.SetRecvDeadline(time.Now().Add(time.Minute))
 		if _, err := d.Recv(); err != nil {
 			t.Fatal(err)
 		}
 		allocs := testing.AllocsPerRun(runs, func() {
+			queued()
 			d.SetRecvDeadline(time.Now().Add(time.Minute))
 			if _, err := d.Recv(); err != nil {
 				t.Fatal(err)

@@ -14,7 +14,7 @@ import (
 var ErrDeadline = errors.New("transport: receive deadline exceeded")
 
 // defaultCapacity bounds an inbox's queue when no capacity is given: a
-// Pipe(0) end, and every adopted conn.
+// Pipe(0) end, and a conn adopted by ConnProviderDef's module.
 const defaultCapacity = 1024
 
 // DeadlineConn is a Conn with a revocable receive deadline. A Recv that
@@ -28,11 +28,13 @@ type DeadlineConn interface {
 }
 
 // NewDeadlineConn returns conn with a receive deadline: a pipe end as it
-// is, any other conn adopted into an inbox of its own (see withInbox). The
+// is, any other conn adopted into an inbox of its own (see withInbox) that
+// holds one message. With one more in the reader's hand, an adopted conn
+// holds at most two; beyond that its peer backs up in the socket. The
 // result owns conn's read side: do not call conn's Recv directly
 // afterwards, and do not overlap Recv calls.
 func NewDeadlineConn(conn Conn) DeadlineConn {
-	d, _ := withInbox(conn)
+	d, _ := withInbox(conn, 1)
 	return d
 }
 
@@ -99,13 +101,10 @@ func (ib *inbox) init(capacity int, life *pipeLife) {
 func newLife() *pipeLife { return &pipeLife{dead: make(chan struct{})} }
 
 // put queues p, which the inbox owns from now on, and calls the receiver
-// hook. On a full queue it waits for room or a close.
+// hook. On a full queue it waits for room or a close. The caller checks
+// life.closed first: with room in the queue, the select below could still
+// pick the send after a close.
 func (ib *inbox) put(p []byte) error {
-	// With room in the queue, the blocking select below could still pick
-	// the send after a close.
-	if ib.life.closed.Load() {
-		return ErrClosed
-	}
 	select {
 	case ib.q <- p:
 	default:
@@ -266,13 +265,15 @@ type adoptedConn struct {
 }
 
 // withInbox returns conn with its receive side as an inbox, and that
-// inbox: a pipe end as it is, any other conn adopted, its reader started.
-func withInbox(conn Conn) (DeadlineConn, *inbox) {
+// inbox: a pipe end as it is, any other conn adopted into an inbox of the
+// given capacity (at least 1: a wake needs room in the queue), its reader
+// started.
+func withInbox(conn Conn, capacity int) (DeadlineConn, *inbox) {
 	if p, ok := conn.(*pipeConn); ok {
 		return p, &p.inbox
 	}
 	a := &adoptedConn{inner: conn}
-	a.init(defaultCapacity, newLife())
+	a.init(capacity, newLife())
 	go a.read()
 	return a, &a.inbox
 }
@@ -286,7 +287,7 @@ func (a *adoptedConn) read() {
 			a.fail(err)
 			return
 		}
-		if a.put(p) != nil {
+		if a.life.closed.Load() || a.put(p) != nil {
 			return
 		}
 	}

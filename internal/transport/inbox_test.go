@@ -44,9 +44,13 @@ func (f *flood) start() {
 // awaitFull waits until the flood has filled in to its bound: capacity
 // messages queued, one more in the reader's hand. Then it checks that the
 // peer's writes stay blocked.
-func awaitFull(t *testing.T, in *inbox, f *flood) {
+func awaitFull(t *testing.T, in *inbox, capacity int, f *flood) {
 	t.Helper()
-	full := func() bool { return len(in.q) == defaultCapacity && f.sent.Load() == defaultCapacity+1 }
+	if cap(in.q) != capacity {
+		t.Fatalf("inbox capacity %d, want %d", cap(in.q), capacity)
+	}
+	want := int64(capacity + 1)
+	full := func() bool { return len(in.q) == capacity && f.sent.Load() == want }
 	for deadline := time.Now().Add(10 * time.Second); !full(); {
 		if time.Now().After(deadline) {
 			t.Fatalf("inbox never filled: %d queued, %d sent", len(in.q), f.sent.Load())
@@ -54,9 +58,9 @@ func awaitFull(t *testing.T, in *inbox, f *flood) {
 		time.Sleep(time.Millisecond)
 	}
 	time.Sleep(20 * time.Millisecond)
-	if q, s := len(in.q), f.sent.Load(); q != defaultCapacity || s != defaultCapacity+1 {
+	if q, s := len(in.q), f.sent.Load(); q != capacity || s != want {
 		t.Fatalf("past the bound: %d queued, %d sent; want %d and %d (the peer blocked)",
-			q, s, defaultCapacity, defaultCapacity+1)
+			q, s, capacity, want)
 	}
 }
 
@@ -68,16 +72,17 @@ func readers() int {
 }
 
 // TestAdoptedInboxBoundDeadline floods an adopted TPKT conn, reached
-// through NewDeadlineConn, with three inboxes' worth while nothing reads:
-// the inbox holds its bound and the peer blocks. Draining then delivers
-// every message in order, and the peer's EOF after them, for good.
+// through NewDeadlineConn, with three of the module's inboxes' worth while
+// nothing reads: the conn holds one message queued and one in the reader's
+// hand, and the peer blocks. Draining then delivers every message in
+// order, and the peer's EOF after them, for good.
 func TestAdoptedInboxBoundDeadline(t *testing.T) {
 	const total = 3 * defaultCapacity
 	conn, f := newFlood(total)
 	d := NewDeadlineConn(conn)
 	defer d.Close()
 	f.start()
-	awaitFull(t, &d.(*adoptedConn).inbox, f)
+	awaitFull(t, &d.(*adoptedConn).inbox, 1, f)
 	d.SetRecvDeadline(time.Now().Add(10 * time.Second))
 	for i := 0; i < total; i++ {
 		p, err := d.Recv()
@@ -106,7 +111,7 @@ func TestAdoptedInboxBoundProvider(t *testing.T) {
 	runIdle(t, st)
 	b := prov.Def().External.(*connBody)
 	f.start()
-	awaitFull(t, b.in, f)
+	awaitFull(t, b.in, defaultCapacity, f)
 	for deadline := time.Now().Add(10 * time.Second); len(rec.data) < total || rec.dis == 0; {
 		if time.Now().After(deadline) {
 			t.Fatalf("delivered %d of %d, TDisInd %d", len(rec.data), total, rec.dis)
@@ -136,7 +141,7 @@ func TestAdoptedInboxCloseWhileFull(t *testing.T) {
 	conn, f := newFlood(3 * defaultCapacity)
 	d := NewDeadlineConn(conn)
 	f.start()
-	awaitFull(t, &d.(*adoptedConn).inbox, f)
+	awaitFull(t, &d.(*adoptedConn).inbox, 1, f)
 	d.Close()
 	select {
 	case <-f.done:
@@ -149,11 +154,9 @@ func TestAdoptedInboxCloseWhileFull(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	// What was queued before the Close still comes first, then EOF.
-	for i := 0; i < defaultCapacity; i++ {
-		if p, err := d.Recv(); err != nil || !bytes.Equal(p, []byte{byte(i >> 8), byte(i)}) {
-			t.Fatalf("Recv %d after Close = %x, %v", i, p, err)
-		}
+	// The message queued before the Close still comes first, then EOF.
+	if p, err := d.Recv(); err != nil || !bytes.Equal(p, []byte{0, 0}) {
+		t.Fatalf("Recv after Close = %x, %v", p, err)
 	}
 	if _, err := d.Recv(); err != io.EOF {
 		t.Fatalf("Recv past the queue = %v, want EOF", err)

@@ -199,7 +199,7 @@ func (b *connBody) Step(ctx *estelle.Ctx) bool {
 // start runs on the first Step: it hooks the conn's inbox to this module
 // and announces an incoming connection on the called side.
 func (b *connBody) start(ctx *estelle.Ctx) {
-	b.conn, b.in = withInbox(b.conn)
+	b.conn, b.in = withInbox(b.conn, defaultCapacity)
 	b.in.setReceiver(ctx.Self().Notify)
 	if b.accepted {
 		ctx.Output("U", "TConInd", "")

@@ -55,6 +55,9 @@ func Pipe(capacity int) (Conn, Conn) {
 //
 //xmovie:noretain p
 func (c *pipeConn) Send(p []byte) error {
+	if c.life.closed.Load() {
+		return ErrClosed
+	}
 	buf := make([]byte, len(p))
 	copy(buf, p)
 	return c.peer.put(buf)
