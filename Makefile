@@ -115,12 +115,12 @@ bench-smoke:
 # path, the paced emit path stepped by the timer wheel, the zero-copy
 # batched send path with its syscall-count bound and the UDP conn's
 # SendBatch/TryRecv — the disk store's cached read path, TPKT's one write
-# per message, and one whole Query round trip per control stack over a
-# pipe association) +
+# per message, one whole Query round trip per control stack over a pipe
+# association, and one generated association's open and close) +
 # append-vs-schema byte-identity proofs, the cold/cached disk-read
 # benchmark and the directory's Add+Remove at 1k and 16k entries.
 bench-guard:
-	$(GO) test -run='TestSendSelectFireAllocs|TestPDUEncodeAllocs|TestPPDUEncodeAllocs|TestPDUDecodeAllocs|TestPPDUDecodeAllocs|TestSPDUParseAllocs|TestStreamPathAllocs|TestFrameSourceSendAllocs|TestPacedEmitAllocs|TestLiveTailSendAllocs|TestBatchedSendAllocs|TestBatchedSendSyscalls|TestUDPConnAllocs|TestDiskCachedReadAllocs|TestAppendMatchesSchemaEncoder|TestDeadlineRecvAllocs|TestTPKTSendOneWrite|TestHandcodedQueryAllocs|TestGeneratedQueryAllocs' \
+	$(GO) test -run='TestSendSelectFireAllocs|TestPDUEncodeAllocs|TestPPDUEncodeAllocs|TestPDUDecodeAllocs|TestPPDUDecodeAllocs|TestSPDUParseAllocs|TestStreamPathAllocs|TestFrameSourceSendAllocs|TestPacedEmitAllocs|TestLiveTailSendAllocs|TestBatchedSendAllocs|TestBatchedSendSyscalls|TestUDPConnAllocs|TestDiskCachedReadAllocs|TestAppendMatchesSchemaEncoder|TestDeadlineRecvAllocs|TestTPKTSendOneWrite|TestHandcodedQueryAllocs|TestGeneratedQueryAllocs|TestGeneratedAssocOpenAllocs' \
 		./internal/estelle ./internal/mcam ./internal/presentation ./internal/session ./internal/mtp ./internal/moviedb ./internal/transport ./internal/core
 	$(GO) test -run='^$$' -bench='BenchmarkDiskStream|BenchmarkDSARemove' -benchtime=10x -benchmem ./internal/moviedb ./internal/directory
 

@@ -424,8 +424,7 @@ func TestDrainConvergesUnderChaos(t *testing.T) {
 	})
 	sim := xmovie.NewSimNet()
 	srv, err := xmovie.ListenAndServe(xmovie.ServerConfig{
-		Env:    &xmovie.ServerEnv{Store: faulty, Dialer: sim},
-		Limits: xmovie.Limits{StreamReadTimeout: 15 * time.Millisecond},
+		Env: &xmovie.ServerEnv{Store: faulty, Dialer: sim, StreamReadTimeout: 15 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -566,20 +565,19 @@ func TestStreamFaultShapes(t *testing.T) {
 				if err := store.Create(xmovie.SynthMovie("film", frames, rate)); err != nil {
 					t.Fatal(err)
 				}
-				var limits xmovie.Limits
+				var readTimeout time.Duration
 				if tc.slowDisk {
 					store = chaos.NewFaultStore(store, chaos.FaultConfig{
 						Seed: 17, SlowProb: 0.15, SlowDelay: 50 * time.Millisecond,
 					})
-					limits.StreamReadTimeout = 20 * time.Millisecond
+					readTimeout = 20 * time.Millisecond
 				}
 				sim := xmovie.NewSimNet()
 				defer sim.Close()
 				srv, err := xmovie.ListenAndServe(xmovie.ServerConfig{
-					Addr:   "127.0.0.1:0",
-					Stack:  s.stack,
-					Env:    &xmovie.ServerEnv{Store: store, Dialer: sim},
-					Limits: limits,
+					Addr:  "127.0.0.1:0",
+					Stack: s.stack,
+					Env:   &xmovie.ServerEnv{Store: store, Dialer: sim, StreamReadTimeout: readTimeout},
 				})
 				if err != nil {
 					t.Fatal(err)

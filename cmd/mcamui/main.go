@@ -52,7 +52,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	compiled, err := estparse.Compile(spec, estelle.DispatchTable)
+	compiled, err := estparse.Compile(spec)
 	if err != nil {
 		return err
 	}

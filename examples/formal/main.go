@@ -43,7 +43,7 @@ func main() {
 	}
 
 	// 1. The interpreter executes the AST directly.
-	compiled, err := estparse.Compile(spec, estelle.DispatchTable)
+	compiled, err := estparse.Compile(spec)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func main() {
 	// 2. The generated Go (internal/gen/pingpong, produced by estgen from
 	// the same file) executes as compiled code.
 	generated := run("generated  ", func(rt *estelle.Runtime) error {
-		_, err := pingpong.BuildPingPong(rt, estelle.DispatchTable, nil)
+		_, err := pingpong.BuildPingPong(rt, nil)
 		return err
 	})
 

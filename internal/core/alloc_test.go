@@ -18,6 +18,9 @@ import (
 const (
 	handcodedQueryAllocs = 13
 	generatedQueryAllocs = 45
+	// generatedAssocOpenAllocs bounds one generated-stack association's
+	// open and close over a pipe.
+	generatedAssocOpenAllocs = 351
 )
 
 func TestHandcodedQueryAllocs(t *testing.T) {
@@ -68,6 +71,49 @@ func queryAllocs(t *testing.T, stack StackKind, ceiling float64) {
 	t.Logf("%v: %.0f allocations per Query round trip", stack, allocs)
 	if allocs > ceiling {
 		t.Fatalf("%v: a Query round trip allocates %.0f times, ceiling %.0f", stack, allocs, ceiling)
+	}
+}
+
+// TestGeneratedAssocOpenAllocs counts the allocations of one generated
+// association's whole life over a pipe, across every goroutine: the
+// client's runtime, entity and scheduler, the server's admission and
+// entity, the connect and release exchanges, and the server's reaping of
+// the entity. Each run waits until the server has retired the session, so
+// no run's teardown is counted in the next.
+func TestGeneratedAssocOpenAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	srv, err := NewServer(ServerConfig{Env: &mcam.ServerEnv{Store: moviedb.NewMemStore()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	var opened int64
+	open := func() {
+		srvEnd, cliEnd := transport.Pipe(0)
+		if err := srv.ServeConn(srvEnd); err != nil {
+			t.Fatal(err)
+		}
+		cli, err := NewClientConn(cliEnd, ClientConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cli.Close(); err != nil {
+			t.Fatal(err)
+		}
+		opened++
+		for srv.completed.Load() < opened {
+			runtime.Gosched()
+		}
+	}
+	for i := 0; i < 20; i++ { // warm every pool on the path
+		open()
+	}
+	allocs := testing.AllocsPerRun(200, open)
+	t.Logf("%.0f allocations per generated association open+close", allocs)
+	if allocs > generatedAssocOpenAllocs {
+		t.Fatalf("a generated association's open+close allocates %.0f times, ceiling %d", allocs, generatedAssocOpenAllocs)
 	}
 }
 

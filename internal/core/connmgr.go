@@ -142,26 +142,15 @@ type Server struct {
 // only and sessions are fed through ServeConn (tests and the load harness).
 func NewServer(cfg ServerConfig) (*Server, error) {
 	if cfg.Env == nil {
-		// A nil Env is an empty one the server owns: browse/order-only
-		// deployments (and ListenAndServe callers that configure nothing
-		// beyond limits) must not lose config that is applied through the
-		// Env, like StreamReadTimeout.
+		// A nil Env is an empty one the server owns (browse/order-only
+		// deployments); the store and totals are filled in below.
 		cfg.Env = &mcam.ServerEnv{}
 	}
 	if cfg.Stack == 0 {
 		cfg.Stack = StackGenerated
 	}
-	if cfg.Dispatch == 0 {
-		cfg.Dispatch = estelle.DispatchTable
-	}
-	if cfg.Mapping == nil {
-		cfg.Mapping = estelle.MapPerGroupRoot
-	}
 	if cfg.Limits.MaxSessions <= 0 {
 		cfg.Limits.MaxSessions = DefaultMaxSessions
-	}
-	if cfg.Limits.StreamReadTimeout > 0 {
-		cfg.Env.StreamReadTimeout = cfg.Limits.StreamReadTimeout
 	}
 	var ownedStore io.Closer
 	var ownedCache *moviedb.ChunkCache
@@ -221,7 +210,8 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		if cfg.Processors > 0 {
 			opts = append(opts, estelle.WithProcessors(cfg.Processors))
 		}
-		s.sched = estelle.NewScheduler(s.rt, cfg.Mapping, opts...)
+		// Connection-per-unit mapping, the paper's best configuration.
+		s.sched = estelle.NewScheduler(s.rt, estelle.MapPerGroupRoot, opts...)
 		if err := s.sched.Start(); err != nil {
 			return failed(err)
 		}
@@ -465,7 +455,7 @@ func (s *Server) ServeConnFor(conn transport.Conn, tenant string) error {
 	}
 	gone := func(root *estelle.Instance) { s.transportGone(sess, root) }
 	if _, err := s.rt.AddSystem(
-		serverConnDef(s.cfg.Env, sess.conn, s.cfg.Dispatch, hooks, gone),
+		serverConnDef(s.cfg.Env, sess.conn, hooks, gone),
 		fmt.Sprintf("conn%d", sess.id)); err != nil {
 		sess.conn.Close()
 		s.finish(sess)

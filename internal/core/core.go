@@ -69,7 +69,7 @@ func (k StackKind) String() string {
 // "U" interaction point is attached through to the MCA, so the application
 // talks to the entity. GroupRoot marks the subtree for connection-per-unit
 // mapping.
-func ClientEntityDef(conn transport.Conn, dispatch estelle.Dispatch) *estelle.ModuleDef {
+func ClientEntityDef(conn transport.Conn) *estelle.ModuleDef {
 	return &estelle.ModuleDef{
 		Name:      "MCAMClientEntity",
 		Attr:      estelle.SystemProcess,
@@ -78,9 +78,9 @@ func ClientEntityDef(conn transport.Conn, dispatch estelle.Dispatch) *estelle.Mo
 			{Name: "U", Channel: mcam.UserChannel, Role: "provider"},
 		},
 		Init: func(ctx *estelle.Ctx) {
-			mca := ctx.MustInit(mcam.ClientModuleDef(dispatch), "mca")
-			pres := ctx.MustInit(presentation.ProtocolMachineDef(dispatch), "pres")
-			sess := ctx.MustInit(session.ProtocolMachineDef(dispatch), "sess")
+			mca := ctx.MustInit(mcam.ClientModuleDef(), "mca")
+			pres := ctx.MustInit(presentation.ProtocolMachineDef(), "pres")
+			sess := ctx.MustInit(session.ProtocolMachineDef(), "sess")
 			prov := ctx.MustInit(transport.ConnProviderDef(conn, false, nil), "prov")
 			mustWire(ctx,
 				[2]*estelle.IP{mca.IP("P"), pres.IP("P")},
@@ -94,24 +94,20 @@ func ClientEntityDef(conn transport.Conn, dispatch estelle.Dispatch) *estelle.Mo
 	}
 }
 
-// ServerConnDef builds the per-connection server entity: server MCA +
-// presentation + session + transport interface over an accepted conn.
-func ServerConnDef(env *mcam.ServerEnv, conn transport.Conn, dispatch estelle.Dispatch) *estelle.ModuleDef {
-	return serverConnDef(env, conn, dispatch, mcam.ServerHooks{}, nil)
-}
-
-// serverConnDef is ServerConnDef with connection-manager lifecycle hooks
-// wired into the MCA, and onGone (when non-nil) called with the entity's
-// root instance once the transport below is gone.
-func serverConnDef(env *mcam.ServerEnv, conn transport.Conn, dispatch estelle.Dispatch, hooks mcam.ServerHooks, onGone func(root *estelle.Instance)) *estelle.ModuleDef {
+// serverConnDef builds the per-connection server entity: server MCA +
+// presentation + session + transport interface over an accepted conn, with
+// the connection manager's lifecycle hooks wired into the MCA, and onGone
+// (when non-nil) called with the entity's root instance once the transport
+// below is gone.
+func serverConnDef(env *mcam.ServerEnv, conn transport.Conn, hooks mcam.ServerHooks, onGone func(root *estelle.Instance)) *estelle.ModuleDef {
 	return &estelle.ModuleDef{
 		Name:      "MCAMServerConn",
 		Attr:      estelle.SystemProcess,
 		GroupRoot: true,
 		Init: func(ctx *estelle.Ctx) {
-			mca := ctx.MustInit(mcam.HookedServerModuleDef(env, dispatch, hooks), "mca")
-			pres := ctx.MustInit(presentation.ProtocolMachineDef(dispatch), "pres")
-			sess := ctx.MustInit(session.ProtocolMachineDef(dispatch), "sess")
+			mca := ctx.MustInit(mcam.ServerModuleDef(env, hooks), "mca")
+			pres := ctx.MustInit(presentation.ProtocolMachineDef(), "pres")
+			sess := ctx.MustInit(session.ProtocolMachineDef(), "sess")
 			var gone func()
 			if onGone != nil {
 				root := ctx.Self()
@@ -147,11 +143,6 @@ type Limits struct {
 	// BusyRetryAfter is the retry-after hint in over-limit StatusBusy
 	// responses (0 = 1s).
 	BusyRetryAfter time.Duration
-	// StreamReadTimeout bounds each storage read feeding a stream's pacing
-	// loop (0 = unbounded): a read that misses the bound degrades that one
-	// stream with a skipped frame instead of wedging its sender. Applied to
-	// the server's Env — including one the server builds itself.
-	StreamReadTimeout time.Duration
 	// QoS is the per-tenant admission and bandwidth policy: session
 	// quotas, stream-bandwidth caps, and admission priorities under which
 	// high-priority connections preempt low-priority sessions at the
@@ -184,12 +175,6 @@ type ServerConfig struct {
 	// DataDir is the disk backend's root directory (required for
 	// BackendDisk).
 	DataDir string
-	// Dispatch selects the transition dispatch strategy of the generated
-	// stack (default table-controlled).
-	Dispatch estelle.Dispatch
-	// Mapping assigns generated-stack modules to scheduler units (default
-	// connection-per-unit, the paper's best configuration).
-	Mapping estelle.MappingFunc
 	// Processors limits the generated stack to P virtual processors
 	// (0 = unlimited).
 	Processors int
@@ -233,8 +218,6 @@ type Client struct {
 type ClientConfig struct {
 	// Stack selects the control stack (default generated).
 	Stack StackKind
-	// Dispatch for the generated stack (default table-controlled).
-	Dispatch estelle.Dispatch
 	// CalledSelector names the server entity (default "mcam-server").
 	CalledSelector string
 	// CallTimeout bounds Dial's association setup and each Call
@@ -257,9 +240,6 @@ func NewClientConn(conn transport.Conn, cfg ClientConfig) (*Client, error) {
 	if cfg.Stack == 0 {
 		cfg.Stack = StackGenerated
 	}
-	if cfg.Dispatch == 0 {
-		cfg.Dispatch = estelle.DispatchTable
-	}
 	if cfg.CalledSelector == "" {
 		cfg.CalledSelector = "mcam-server"
 	}
@@ -280,7 +260,7 @@ func NewClientConn(conn transport.Conn, cfg ClientConfig) (*Client, error) {
 		c.iso = iso
 	case StackGenerated:
 		c.rt = estelle.NewRuntime()
-		entity, err := c.rt.AddSystem(ClientEntityDef(conn, cfg.Dispatch), "client")
+		entity, err := c.rt.AddSystem(ClientEntityDef(conn), "client")
 		if err != nil {
 			conn.Close()
 			return nil, err

@@ -205,11 +205,10 @@ func (g *generator) emitBody(b *estparse.Body) error {
 		g.varTypes[v.Name] = v.Type
 	}
 	g.pf("// %sDef builds module %s with body %s.\n", b.Name, mod.Name, b.Name)
-	g.pf("func %sDef(dispatch estelle.Dispatch) *estelle.ModuleDef {\n", b.Name)
+	g.pf("func %sDef() *estelle.ModuleDef {\n", b.Name)
 	g.pf("\treturn &estelle.ModuleDef{\n")
 	g.pf("\t\tName:     %q,\n", mod.Name)
 	g.pf("\t\tAttr:     %s,\n", attrExpr(mod.Attr))
-	g.pf("\t\tDispatch: dispatch,\n")
 	if len(mod.IPs) > 0 {
 		g.pf("\t\tIPs: []estelle.IPDef{\n")
 		for _, ip := range mod.IPs {
@@ -500,7 +499,7 @@ func (g *generator) emitBuild() error {
 	g.pf("// Build%s instantiates the specification's configuration section:\n", g.spec.Name)
 	g.pf("// module variables, init bindings and connections. External module\n")
 	g.pf("// bodies are taken from externals, keyed by module name.\n")
-	g.pf("func Build%s(rt *estelle.Runtime, dispatch estelle.Dispatch, externals map[string]estelle.Body) (map[string]*estelle.Instance, error) {\n", g.spec.Name)
+	g.pf("func Build%s(rt *estelle.Runtime, externals map[string]estelle.Body) (map[string]*estelle.Instance, error) {\n", g.spec.Name)
 	g.pf("\tinsts := make(map[string]*estelle.Instance)\n")
 	g.pf("\tvar err error\n")
 	varMods := make(map[string]string)
@@ -510,7 +509,7 @@ func (g *generator) emitBuild() error {
 			varMods[s.Name] = s.Module
 		case estparse.InitStmt:
 			if _, ok := bodiesByName[s.Body]; ok {
-				g.pf("\tinsts[%q], err = rt.AddSystem(%sDef(dispatch), %q)\n", s.Var, s.Body, s.Var)
+				g.pf("\tinsts[%q], err = rt.AddSystem(%sDef(), %q)\n", s.Var, s.Body, s.Var)
 			} else {
 				// External body.
 				modName := varMods[s.Var]

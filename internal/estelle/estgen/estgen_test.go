@@ -57,8 +57,8 @@ func TestGeneratedCodeShape(t *testing.T) {
 	for _, want := range []string{
 		"Code generated by estgen from specification PingPong",
 		"var PingChannelChannel = &estelle.ChannelDef{",
-		"func PingerBodyDef(dispatch estelle.Dispatch) *estelle.ModuleDef {",
-		"func PongerBodyDef(dispatch estelle.Dispatch) *estelle.ModuleDef {",
+		"func PingerBodyDef() *estelle.ModuleDef {",
+		"func PongerBodyDef() *estelle.ModuleDef {",
 		"func BuildPingPong(rt *estelle.Runtime",
 		`When: estelle.On("P", "Pong")`,
 		`ctx.Output("P", "Ping", int64(0))`,

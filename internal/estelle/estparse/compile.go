@@ -20,9 +20,9 @@ type Compiled struct {
 }
 
 // Compile turns a parsed Spec into runnable module definitions driven by
-// the AST interpreter. dispatch selects the transition dispatch strategy
-// for every compiled module.
-func Compile(spec *Spec, dispatch estelle.Dispatch) (*Compiled, error) {
+// the AST interpreter. The defs dispatch through the transition table; a
+// caller may set another strategy on a def before Build.
+func Compile(spec *Spec) (*Compiled, error) {
 	c := &Compiled{
 		Spec:      spec,
 		Channels:  make(map[string]*estelle.ChannelDef),
@@ -52,7 +52,7 @@ func Compile(spec *Spec, dispatch estelle.Dispatch) (*Compiled, error) {
 		mods[m.Name] = m
 	}
 	for _, b := range spec.Bodies {
-		def, err := c.compileBody(mods[b.Module], b, dispatch)
+		def, err := c.compileBody(mods[b.Module], b)
 		if err != nil {
 			return nil, err
 		}
@@ -97,15 +97,14 @@ func (c *Compiled) paramsOf(mod *Module, ipName, msgName string) []string {
 	return nil
 }
 
-func (c *Compiled) compileBody(mod *Module, b *Body, dispatch estelle.Dispatch) (*estelle.ModuleDef, error) {
+func (c *Compiled) compileBody(mod *Module, b *Body) (*estelle.ModuleDef, error) {
 	if mod == nil {
 		return nil, fmt.Errorf("estelle: body %s has no module", b.Name)
 	}
 	def := &estelle.ModuleDef{
-		Name:     mod.Name,
-		Attr:     attrOf(mod.Attr),
-		Dispatch: dispatch,
-		States:   append([]string(nil), b.States...),
+		Name:   mod.Name,
+		Attr:   attrOf(mod.Attr),
+		States: append([]string(nil), b.States...),
 	}
 	for _, ip := range mod.IPs {
 		ch, ok := c.Channels[ip.Channel]

@@ -50,7 +50,7 @@ func TestInterpretPingPong(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	compiled, err := Compile(spec, estelle.DispatchTable)
+	compiled, err := Compile(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestInterpretAlternatingBit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	compiled, err := Compile(spec, estelle.DispatchTable)
+	compiled, err := Compile(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,10 +241,12 @@ func TestExpressionEvaluation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	compiled, err := Compile(spec, estelle.DispatchLinear)
+	compiled, err := Compile(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Linear dispatch stays exercised on an interpreted spec.
+	compiled.Defs["MB"].Dispatch = estelle.DispatchLinear
 	rt := estelle.NewRuntime()
 	insts, err := compiled.Build(rt)
 	if err != nil {
@@ -295,7 +297,7 @@ func TestDivModByZeroErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	compiled, err := Compile(spec, estelle.DispatchTable)
+	compiled, err := Compile(spec)
 	if err != nil {
 		t.Fatal(err)
 	}

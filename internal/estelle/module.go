@@ -49,6 +49,9 @@ func (a Attr) activityLike() bool { return a == SystemActivity || a == Activity 
 
 // Dispatch selects the transition-selection strategy for a module, the
 // subject of the paper's §5.2 "mapping of transitions" comparison.
+// ModuleDef.Dispatch is the only place a strategy is chosen: the product's
+// modules leave it zero (the table), and experiment E4 sets
+// DispatchLinear on its own defs to measure the other.
 type Dispatch int
 
 const (
@@ -120,7 +123,8 @@ func (f BodyFunc) Step(ctx *Ctx) bool { return f(ctx) }
 
 // ModuleDef is a module header plus body: interaction points, states,
 // transitions, and initialization. Defs are immutable once instantiated and
-// may be shared by many instances.
+// may be shared by many instances; a def shared across runtimes is built
+// once with MustCompile.
 type ModuleDef struct {
 	Name string
 	Attr Attr
@@ -144,7 +148,8 @@ type ModuleDef struct {
 	// in one unit.
 	GroupRoot bool
 
-	// compiled caches state indexing; built lazily by compile().
+	// compiled caches state indexing; built by MustCompile, or lazily by
+	// compile() for a def only one runtime sees.
 	compiled *compiledDef
 }
 
@@ -168,6 +173,18 @@ type compiledDef struct {
 	// instances without one skip all delay bookkeeping.
 	hasDelay bool
 	ipIdx    map[string]int
+}
+
+// MustCompile builds d's derived structures now and returns d; it panics
+// if d is malformed. A def shared by many runtimes (a package-level
+// protocol machine) is built with it at package initialisation, so the
+// lazy compile at instantiation only ever reads the cache and concurrent
+// runtimes never write the def. Nothing may modify d afterwards.
+func MustCompile(d *ModuleDef) *ModuleDef {
+	if _, err := d.compile(); err != nil {
+		panic(err)
+	}
+	return d
 }
 
 func (d *ModuleDef) compile() (*compiledDef, error) {

@@ -271,7 +271,7 @@ func Figure3() (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	compiled, err := estparse.Compile(spec, estelle.DispatchTable)
+	compiled, err := estparse.Compile(spec)
 	if err != nil {
 		return nil, err
 	}

@@ -89,16 +89,16 @@ func responderDef() *estelle.ModuleDef {
 // connDef wraps one §5.1 connection — initiator stack, pipe, responder
 // stack — as a GroupRoot system module so connection-per-unit mapping keeps
 // it together.
-func connDef(n int, payload []byte, dispatch estelle.Dispatch) *estelle.ModuleDef {
+func connDef(n int, payload []byte) *estelle.ModuleDef {
 	return &estelle.ModuleDef{
 		Name: "BenchConn", Attr: estelle.SystemProcess, GroupRoot: true,
 		Init: func(ctx *estelle.Ctx) {
 			ini := ctx.MustInit(initiatorDef(n, payload), "init")
-			iPres := ctx.MustInit(presentation.ProtocolMachineDef(dispatch), "ipres")
-			iSess := ctx.MustInit(session.ProtocolMachineDef(dispatch), "isess")
+			iPres := ctx.MustInit(presentation.ProtocolMachineDef(), "ipres")
+			iSess := ctx.MustInit(session.ProtocolMachineDef(), "isess")
 			pipe := ctx.MustInit(transport.PipeProviderDef(), "pipe")
-			rSess := ctx.MustInit(session.ProtocolMachineDef(dispatch), "rsess")
-			rPres := ctx.MustInit(presentation.ProtocolMachineDef(dispatch), "rpres")
+			rSess := ctx.MustInit(session.ProtocolMachineDef(), "rsess")
+			rPres := ctx.MustInit(presentation.ProtocolMachineDef(), "rpres")
 			resp := ctx.MustInit(responderDef(), "resp")
 			wire := func(a, b *estelle.IP) {
 				if err := ctx.Connect(a, b); err != nil {
@@ -118,12 +118,12 @@ func connDef(n int, payload []byte, dispatch estelle.Dispatch) *estelle.ModuleDe
 // runStacks builds `conns` connections each carrying `reqs` data units and
 // runs them under the given mapping, returning the wall time to
 // quiescence. procs limits virtual processors (0 = unlimited).
-func runStacks(conns, reqs int, mapping estelle.MappingFunc, procs int, dispatch estelle.Dispatch) (time.Duration, error) {
+func runStacks(conns, reqs int, mapping estelle.MappingFunc, procs int) (time.Duration, error) {
 	payload := []byte{0xab, 0xcd} // "very small P-Data units"
 	rt := estelle.NewRuntime()
 	roots := make([]*estelle.Instance, conns)
 	for i := range roots {
-		inst, err := rt.AddSystem(connDef(reqs, payload, dispatch), fmt.Sprintf("conn%d", i))
+		inst, err := rt.AddSystem(connDef(reqs, payload), fmt.Sprintf("conn%d", i))
 		if err != nil {
 			return 0, err
 		}
@@ -171,15 +171,15 @@ func Exp1SeqVsPar() (*Result, error) {
 	}
 	for _, conns := range []int{1, 2, 4} {
 		for _, reqs := range []int{200, 1000} {
-			seq, err := runStacks(conns, reqs, estelle.MapSingleUnit, 0, estelle.DispatchTable)
+			seq, err := runStacks(conns, reqs, estelle.MapSingleUnit, 0)
 			if err != nil {
 				return nil, err
 			}
-			perMod, err := runStacks(conns, reqs, estelle.MapPerInstance, 0, estelle.DispatchTable)
+			perMod, err := runStacks(conns, reqs, estelle.MapPerInstance, 0)
 			if err != nil {
 				return nil, err
 			}
-			perConn, err := runStacks(conns, reqs, estelle.MapPerGroupRoot, 0, estelle.DispatchTable)
+			perConn, err := runStacks(conns, reqs, estelle.MapPerGroupRoot, 0)
 			if err != nil {
 				return nil, err
 			}
@@ -206,11 +206,11 @@ func Exp8ConnVsLayer() (*Result, error) {
 	}
 	for _, conns := range []int{2, 4, 8} {
 		reqs := 500
-		byConn, err := runStacks(conns, reqs, estelle.MapPerGroupRoot, 0, estelle.DispatchTable)
+		byConn, err := runStacks(conns, reqs, estelle.MapPerGroupRoot, 0)
 		if err != nil {
 			return nil, err
 		}
-		byLayer, err := runStacks(conns, reqs, estelle.MapByModuleName, 0, estelle.DispatchTable)
+		byLayer, err := runStacks(conns, reqs, estelle.MapByModuleName, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -238,15 +238,15 @@ func Exp2Grouping() (*Result, error) {
 	}
 	for _, conns := range []int{4, 8, 16} {
 		reqs := 300
-		perModule, err := runStacks(conns, reqs, estelle.MapPerInstance, procs, estelle.DispatchTable)
+		perModule, err := runStacks(conns, reqs, estelle.MapPerInstance, procs)
 		if err != nil {
 			return nil, err
 		}
-		blind, err := runStacks(conns, reqs, estelle.MapRoundRobin(procs), procs, estelle.DispatchTable)
+		blind, err := runStacks(conns, reqs, estelle.MapRoundRobin(procs), procs)
 		if err != nil {
 			return nil, err
 		}
-		grouped, err := runStacks(conns, reqs, estelle.MapGroupedConnections(procs), procs, estelle.DispatchTable)
+		grouped, err := runStacks(conns, reqs, estelle.MapGroupedConnections(procs), procs)
 		if err != nil {
 			return nil, err
 		}

@@ -79,11 +79,10 @@ var MediumChannelChannel = &estelle.ChannelDef{
 }
 
 // ABSenderBodyDef builds module ABSender with body ABSenderBody.
-func ABSenderBodyDef(dispatch estelle.Dispatch) *estelle.ModuleDef {
+func ABSenderBodyDef() *estelle.ModuleDef {
 	return &estelle.ModuleDef{
-		Name:     "ABSender",
-		Attr:     estelle.SystemProcess,
-		Dispatch: dispatch,
+		Name: "ABSender",
+		Attr: estelle.SystemProcess,
 		IPs: []estelle.IPDef{
 			{Name: "U", Channel: DataChannelChannel, Role: "provider"},
 			{Name: "M", Channel: MediumChannelChannel, Role: "side"},
@@ -139,11 +138,10 @@ func ABSenderBodyDef(dispatch estelle.Dispatch) *estelle.ModuleDef {
 }
 
 // ABReceiverBodyDef builds module ABReceiver with body ABReceiverBody.
-func ABReceiverBodyDef(dispatch estelle.Dispatch) *estelle.ModuleDef {
+func ABReceiverBodyDef() *estelle.ModuleDef {
 	return &estelle.ModuleDef{
-		Name:     "ABReceiver",
-		Attr:     estelle.SystemProcess,
-		Dispatch: dispatch,
+		Name: "ABReceiver",
+		Attr: estelle.SystemProcess,
 		IPs: []estelle.IPDef{
 			{Name: "U", Channel: DataChannelChannel, Role: "provider"},
 			{Name: "M", Channel: MediumChannelChannel, Role: "side"},
@@ -182,14 +180,14 @@ func ABReceiverBodyDef(dispatch estelle.Dispatch) *estelle.ModuleDef {
 // BuildAlternatingBit instantiates the specification's configuration section:
 // module variables, init bindings and connections. External module
 // bodies are taken from externals, keyed by module name.
-func BuildAlternatingBit(rt *estelle.Runtime, dispatch estelle.Dispatch, externals map[string]estelle.Body) (map[string]*estelle.Instance, error) {
+func BuildAlternatingBit(rt *estelle.Runtime, externals map[string]estelle.Body) (map[string]*estelle.Instance, error) {
 	insts := make(map[string]*estelle.Instance)
 	var err error
-	insts["s"], err = rt.AddSystem(ABSenderBodyDef(dispatch), "s")
+	insts["s"], err = rt.AddSystem(ABSenderBodyDef(), "s")
 	if err != nil {
 		return nil, err
 	}
-	insts["r"], err = rt.AddSystem(ABReceiverBodyDef(dispatch), "r")
+	insts["r"], err = rt.AddSystem(ABReceiverBodyDef(), "r")
 	if err != nil {
 		return nil, err
 	}

@@ -18,7 +18,7 @@ import (
 
 func TestGeneratedPingPongRuns(t *testing.T) {
 	rt := estelle.NewRuntime(estelle.WithStrict())
-	insts, err := pingpong.BuildPingPong(rt, estelle.DispatchTable, nil)
+	insts, err := pingpong.BuildPingPong(rt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestGeneratedMatchesInterpretedTrace(t *testing.T) {
 	}
 
 	genTrace := run(func(rt *estelle.Runtime) error {
-		_, err := pingpong.BuildPingPong(rt, estelle.DispatchTable, nil)
+		_, err := pingpong.BuildPingPong(rt, nil)
 		return err
 	})
 	src, err := os.ReadFile("../../specs/pingpong.est")
@@ -71,7 +71,7 @@ func TestGeneratedMatchesInterpretedTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	compiled, err := estparse.Compile(spec, estelle.DispatchTable)
+	compiled, err := estparse.Compile(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestGeneratedABPDeliversDespiteLoss(t *testing.T) {
 	clk := estelle.NewManualClock()
 	rt := estelle.NewRuntime(estelle.WithClock(clk))
 	medium := &relayMedium{}
-	insts, err := abp.BuildAlternatingBit(rt, estelle.DispatchTable,
+	insts, err := abp.BuildAlternatingBit(rt,
 		map[string]estelle.Body{"Medium": medium})
 	if err != nil {
 		t.Fatal(err)

@@ -62,11 +62,10 @@ var PingChannelChannel = &estelle.ChannelDef{
 }
 
 // PingerBodyDef builds module Pinger with body PingerBody.
-func PingerBodyDef(dispatch estelle.Dispatch) *estelle.ModuleDef {
+func PingerBodyDef() *estelle.ModuleDef {
 	return &estelle.ModuleDef{
-		Name:     "Pinger",
-		Attr:     estelle.SystemProcess,
-		Dispatch: dispatch,
+		Name: "Pinger",
+		Attr: estelle.SystemProcess,
 		IPs: []estelle.IPDef{
 			{Name: "P", Channel: PingChannelChannel, Role: "caller"},
 		},
@@ -111,11 +110,10 @@ func PingerBodyDef(dispatch estelle.Dispatch) *estelle.ModuleDef {
 }
 
 // PongerBodyDef builds module Ponger with body PongerBody.
-func PongerBodyDef(dispatch estelle.Dispatch) *estelle.ModuleDef {
+func PongerBodyDef() *estelle.ModuleDef {
 	return &estelle.ModuleDef{
-		Name:     "Ponger",
-		Attr:     estelle.SystemProcess,
-		Dispatch: dispatch,
+		Name: "Ponger",
+		Attr: estelle.SystemProcess,
 		IPs: []estelle.IPDef{
 			{Name: "P", Channel: PingChannelChannel, Role: "callee"},
 		},
@@ -138,14 +136,14 @@ func PongerBodyDef(dispatch estelle.Dispatch) *estelle.ModuleDef {
 // BuildPingPong instantiates the specification's configuration section:
 // module variables, init bindings and connections. External module
 // bodies are taken from externals, keyed by module name.
-func BuildPingPong(rt *estelle.Runtime, dispatch estelle.Dispatch, externals map[string]estelle.Body) (map[string]*estelle.Instance, error) {
+func BuildPingPong(rt *estelle.Runtime, externals map[string]estelle.Body) (map[string]*estelle.Instance, error) {
 	insts := make(map[string]*estelle.Instance)
 	var err error
-	insts["a"], err = rt.AddSystem(PingerBodyDef(dispatch), "a")
+	insts["a"], err = rt.AddSystem(PingerBodyDef(), "a")
 	if err != nil {
 		return nil, err
 	}
-	insts["b"], err = rt.AddSystem(PongerBodyDef(dispatch), "b")
+	insts["b"], err = rt.AddSystem(PongerBodyDef(), "b")
 	if err != nil {
 		return nil, err
 	}

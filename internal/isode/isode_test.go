@@ -136,11 +136,11 @@ func TestConformanceIsodeClientToEstelleServer(t *testing.T) {
 
 	// Estelle side: presentation over session over the real pipe.
 	rt := estelle.NewRuntime(estelle.WithStrict())
-	pres, err := rt.AddSystem(presentation.SystemDef(estelle.DispatchTable), "pres")
+	pres, err := rt.AddSystem(presentation.SystemDef(), "pres")
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess, err := rt.AddSystem(session.SystemDef(estelle.DispatchTable), "sess")
+	sess, err := rt.AddSystem(session.SystemDef(), "sess")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,15 +33,15 @@ type ServerEnv struct {
 	// (mtp.ReceiverConfig.FeedbackEvery); 0 keeps the send-everything
 	// behaviour.
 	StreamWindow int
-	// StreamTotals, when non-nil, accumulates finished streams' data-plane
-	// counters across every association sharing this environment.
-	StreamTotals *spa.Totals
 	// StreamReadTimeout bounds each storage read feeding a stream's pacing
 	// loop (0 = unbounded): a read that misses the bound degrades that one
 	// stream with a skipped frame (FlagSkip) instead of wedging its sender
 	// on a slow or failed store. Live-edge waits stay unbounded — they are
 	// cancellable already.
 	StreamReadTimeout time.Duration
+	// StreamTotals, when non-nil, accumulates finished streams' data-plane
+	// counters across every association sharing this environment.
+	StreamTotals *spa.Totals
 }
 
 // SessionQoS is one association's quality-of-service binding, resolved by

@@ -348,12 +348,12 @@ func buildEstelleStack(t *testing.T, env *ServerEnv) (*AppClient, *estelle.Sched
 		}
 		return inst
 	}
-	clientMCA := mustAdd(SystemClientDef(estelle.DispatchTable), "clientMCA")
-	clientPres := mustAdd(presentation.SystemDef(estelle.DispatchTable), "clientPres")
-	clientSess := mustAdd(session.SystemDef(estelle.DispatchTable), "clientSess")
-	serverMCA := mustAdd(SystemServerDef(env, estelle.DispatchTable), "serverMCA")
-	serverPres := mustAdd(presentation.SystemDef(estelle.DispatchTable), "serverPres")
-	serverSess := mustAdd(session.SystemDef(estelle.DispatchTable), "serverSess")
+	clientMCA := mustAdd(SystemClientDef(), "clientMCA")
+	clientPres := mustAdd(presentation.SystemDef(), "clientPres")
+	clientSess := mustAdd(session.SystemDef(), "clientSess")
+	serverMCA := mustAdd(SystemServerDef(env), "serverMCA")
+	serverPres := mustAdd(presentation.SystemDef(), "serverPres")
+	serverSess := mustAdd(session.SystemDef(), "serverSess")
 	pipe := mustAdd(transport.SystemPipeProviderDef(), "pipe")
 	for _, pair := range [][2]*estelle.IP{
 		{clientMCA.IP("P"), clientPres.IP("P")},
@@ -450,9 +450,9 @@ func TestEstelleClientAgainstIsodeServer(t *testing.T) {
 		}
 		return inst
 	}
-	clientMCA := mustAdd(SystemClientDef(estelle.DispatchTable), "clientMCA")
-	clientPres := mustAdd(presentation.SystemDef(estelle.DispatchTable), "clientPres")
-	clientSess := mustAdd(session.SystemDef(estelle.DispatchTable), "clientSess")
+	clientMCA := mustAdd(SystemClientDef(), "clientMCA")
+	clientPres := mustAdd(presentation.SystemDef(), "clientPres")
+	clientSess := mustAdd(session.SystemDef(), "clientSess")
 	prov := mustAdd(transport.SystemConnProviderDef(ca, false), "prov")
 	for _, pair := range [][2]*estelle.IP{
 		{clientMCA.IP("P"), clientPres.IP("P")},

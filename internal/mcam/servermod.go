@@ -87,18 +87,13 @@ type ServerHooks struct {
 // association: the module the paper's server entity creates per incoming
 // connection ("the server... creates the same Estelle modules", §4.1).
 // Each instance builds its own handler (and external event body) over the
-// shared environment, so one def serves many parallel connections.
-func ServerModuleDef(env *ServerEnv, dispatch estelle.Dispatch) *estelle.ModuleDef {
-	return HookedServerModuleDef(env, dispatch, ServerHooks{})
-}
-
-// HookedServerModuleDef is ServerModuleDef with lifecycle hooks; the
-// connection manager in internal/core uses them to track session death.
-func HookedServerModuleDef(env *ServerEnv, dispatch estelle.Dispatch, hooks ServerHooks) *estelle.ModuleDef {
-	def := &estelle.ModuleDef{
-		Name:     "MCAServer",
-		Attr:     estelle.Process,
-		Dispatch: dispatch,
+// shared environment; hooks let the entity that owns the MCA (the
+// connection manager in internal/core) observe its lifecycle. The def
+// captures env and hooks, so it is built per association.
+func ServerModuleDef(env *ServerEnv, hooks ServerHooks) *estelle.ModuleDef {
+	return &estelle.ModuleDef{
+		Name: "MCAServer",
+		Attr: estelle.Process,
 		IPs: []estelle.IPDef{
 			{Name: "P", Channel: presentation.ServiceChannel, Role: "user"},
 		},
@@ -170,12 +165,11 @@ func HookedServerModuleDef(env *ServerEnv, dispatch estelle.Dispatch, hooks Serv
 			},
 		},
 	}
-	return def
 }
 
 // SystemServerDef wraps the server MCA as a standalone system module.
-func SystemServerDef(env *ServerEnv, dispatch estelle.Dispatch) *estelle.ModuleDef {
-	def := *ServerModuleDef(env, dispatch)
+func SystemServerDef(env *ServerEnv) *estelle.ModuleDef {
+	def := *ServerModuleDef(env, ServerHooks{})
 	def.Attr = estelle.SystemProcess
 	return &def
 }

@@ -31,8 +31,6 @@ func convertEvent(e spa.Event) Event {
 	switch e.Kind {
 	case spa.EventStarted:
 		out.Kind = EventStreamStarted
-	case spa.EventProgress:
-		out.Kind = EventStreamProgress
 	case spa.EventCompleted:
 		out.Kind = EventStreamCompleted
 	case spa.EventAborted:

@@ -109,7 +109,8 @@ type StreamConfig struct {
 	// FrameRate paces transmission; 0 sends as fast as possible.
 	FrameRate int
 	// EOSRepeats re-sends the end-of-stream marker to survive loss
-	// (0 = 3; negative suppresses EOS).
+	// (0 = 5): a stream's termination must survive lossy paths, or the
+	// receiver blocks until its own timeout.
 	EOSRepeats int
 	// Window enables credit-based adaptive delivery: the sender keeps at
 	// most Window transmitted frames unacknowledged by receiver feedback
@@ -235,11 +236,8 @@ type StreamSender struct {
 
 // NewStreamSender prepares a sender; Run performs the transmission.
 func NewStreamSender(conn StreamConn, cfg StreamConfig) *StreamSender {
-	switch {
-	case cfg.EOSRepeats == 0:
-		cfg.EOSRepeats = 3
-	case cfg.EOSRepeats < 0:
-		cfg.EOSRepeats = 0
+	if cfg.EOSRepeats == 0 {
+		cfg.EOSRepeats = 5
 	}
 	s := &StreamSender{conn: conn, cfg: cfg, stopCh: make(chan struct{}), wake: make(chan struct{}, 1), seekTo: -1}
 	if cfg.FrameRate > 0 {

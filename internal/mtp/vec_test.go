@@ -312,10 +312,10 @@ func TestBatchedSendSyscalls(t *testing.T) {
 	if err != nil || st.Sent != 64 {
 		t.Fatalf("sent %d, err %v", st.Sent, err)
 	}
-	if want := []int{maxCoalesce, maxCoalesce, 1, 1, 1}; !slices.Equal(conn.batches, want) {
-		t.Fatalf("64 unpaced frames and 3 EOS markers cost SendBatch calls of %v packets, want %v", conn.batches, want)
+	if want := []int{maxCoalesce, maxCoalesce, 1, 1, 1, 1, 1}; !slices.Equal(conn.batches, want) {
+		t.Fatalf("64 unpaced frames and 5 EOS markers cost SendBatch calls of %v packets, want %v", conn.batches, want)
 	}
-	if len(conn.delivered) != 64+3 {
+	if len(conn.delivered) != 64+5 {
 		t.Fatalf("delivered %d datagrams", len(conn.delivered))
 	}
 	for _, eos := range conn.delivered[64:] {

@@ -110,10 +110,10 @@ func newStackHarness(t *testing.T) *stackHarness {
 		}
 		return inst
 	}
-	h.initP = mustAdd(SystemDef(estelle.DispatchTable), "initPres")
-	h.respP = mustAdd(SystemDef(estelle.DispatchTable), "respPres")
-	initS := mustAdd(session.SystemDef(estelle.DispatchTable), "initSess")
-	respS := mustAdd(session.SystemDef(estelle.DispatchTable), "respSess")
+	h.initP = mustAdd(SystemDef(), "initPres")
+	h.respP = mustAdd(SystemDef(), "respPres")
+	initS := mustAdd(session.SystemDef(), "initSess")
+	respS := mustAdd(session.SystemDef(), "respSess")
 	pipe := mustAdd(transport.SystemPipeProviderDef(), "pipe")
 	for _, pair := range [][2]*estelle.IP{
 		{h.initP.IP("S"), initS.IP("S")},

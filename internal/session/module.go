@@ -84,197 +84,199 @@ func spduIs(t SPDUType) func(*estelle.Ctx) bool {
 // State names follow the ISO 8327 state table loosely:
 // Idle, WaitTC (awaiting transport), WaitAC (sent CN), WaitUser (got CN),
 // Connected, WaitDN (sent FN), WaitRelResp (got FN), Closed.
-func ProtocolMachineDef(dispatch estelle.Dispatch) *estelle.ModuleDef {
-	return &estelle.ModuleDef{
-		Name:     "SessionPM",
-		Attr:     estelle.Process,
-		Dispatch: dispatch,
-		IPs: []estelle.IPDef{
-			{Name: "S", Channel: ServiceChannel, Role: "provider"},
-			{Name: "T", Channel: transport.ServiceChannel, Role: "user"},
+//
+// It is one def, compiled once and shared by every association; callers
+// must not modify it.
+func ProtocolMachineDef() *estelle.ModuleDef { return protocolMachine }
+
+var protocolMachine = estelle.MustCompile(&estelle.ModuleDef{
+	Name: "SessionPM",
+	Attr: estelle.Process,
+	IPs: []estelle.IPDef{
+		{Name: "S", Channel: ServiceChannel, Role: "provider"},
+		{Name: "T", Channel: transport.ServiceChannel, Role: "user"},
+	},
+	States: []string{"Idle", "WaitTC", "WaitAC", "WaitUser", "Connected", "WaitDN", "WaitRelResp", "Closed"},
+	Init: func(ctx *estelle.Ctx) {
+		ctx.SetBody(&machine{})
+	},
+	Trans: []estelle.Trans{
+		// --- Connection establishment, calling side.
+		{
+			Name: "s-conreq", From: []string{"Idle"}, When: estelle.On("S", "SConReq"), To: "WaitTC",
+			Action: func(ctx *estelle.Ctx) {
+				m := ctx.Body().(*machine)
+				m.selector = ctx.Msg.Str(0)
+				ctx.Output("T", "TConReq", m.selector)
+				// User data rides along until the CN can be sent.
+				ctx.SetVar("pendingUD", append([]byte(nil), ctx.Msg.Bytes(1)...))
+			},
 		},
-		States: []string{"Idle", "WaitTC", "WaitAC", "WaitUser", "Connected", "WaitDN", "WaitRelResp", "Closed"},
-		Init: func(ctx *estelle.Ctx) {
-			ctx.SetBody(&machine{})
+		{
+			Name: "t-concnf", From: []string{"WaitTC"}, When: estelle.On("T", "TConCnf"), To: "WaitAC",
+			Action: func(ctx *estelle.Ctx) {
+				m := ctx.Body().(*machine)
+				ud, _ := ctx.Var("pendingUD").([]byte)
+				cn := (&SPDU{Type: SPDUConnect}).
+					With(PICalledSelector, []byte(m.selector)).
+					With(PIUserData, ud)
+				sendSPDU(ctx, cn)
+			},
 		},
-		Trans: []estelle.Trans{
-			// --- Connection establishment, calling side.
-			{
-				Name: "s-conreq", From: []string{"Idle"}, When: estelle.On("S", "SConReq"), To: "WaitTC",
-				Action: func(ctx *estelle.Ctx) {
-					m := ctx.Body().(*machine)
-					m.selector = ctx.Msg.Str(0)
-					ctx.Output("T", "TConReq", m.selector)
-					// User data rides along until the CN can be sent.
-					ctx.SetVar("pendingUD", append([]byte(nil), ctx.Msg.Bytes(1)...))
-				},
+		{
+			Name: "ac", From: []string{"WaitAC"}, When: estelle.On("T", "TDatInd"),
+			Provided: spduIs(SPDUAccept), To: "Connected",
+			Action: func(ctx *estelle.Ctx) {
+				s := parseSPDU(ctx)
+				if s == nil {
+					return
+				}
+				ctx.Output("S", "SConCnf", true, s.UserData())
 			},
-			{
-				Name: "t-concnf", From: []string{"WaitTC"}, When: estelle.On("T", "TConCnf"), To: "WaitAC",
-				Action: func(ctx *estelle.Ctx) {
-					m := ctx.Body().(*machine)
-					ud, _ := ctx.Var("pendingUD").([]byte)
-					cn := (&SPDU{Type: SPDUConnect}).
-						With(PICalledSelector, []byte(m.selector)).
-						With(PIUserData, ud)
-					sendSPDU(ctx, cn)
-				},
+		},
+		{
+			Name: "rf", From: []string{"WaitAC"}, When: estelle.On("T", "TDatInd"),
+			Provided: spduIs(SPDURefuse), To: "Closed",
+			Action: func(ctx *estelle.Ctx) {
+				s := parseSPDU(ctx)
+				if s == nil {
+					return
+				}
+				ctx.Output("S", "SConCnf", false, s.UserData())
+				ctx.Output("T", "TDisReq")
 			},
-			{
-				Name: "ac", From: []string{"WaitAC"}, When: estelle.On("T", "TDatInd"),
-				Provided: spduIs(SPDUAccept), To: "Connected",
-				Action: func(ctx *estelle.Ctx) {
-					s := parseSPDU(ctx)
-					if s == nil {
-						return
-					}
-					ctx.Output("S", "SConCnf", true, s.UserData())
-				},
+		},
+		// --- Connection establishment, called side.
+		{
+			Name: "t-conind", From: []string{"Idle"}, When: estelle.On("T", "TConInd"), To: "WaitUser",
+			Action: func(ctx *estelle.Ctx) {
+				ctx.Output("T", "TConResp") // transport up; await CN
 			},
-			{
-				Name: "rf", From: []string{"WaitAC"}, When: estelle.On("T", "TDatInd"),
-				Provided: spduIs(SPDURefuse), To: "Closed",
-				Action: func(ctx *estelle.Ctx) {
-					s := parseSPDU(ctx)
-					if s == nil {
-						return
-					}
-					ctx.Output("S", "SConCnf", false, s.UserData())
-					ctx.Output("T", "TDisReq")
-				},
+		},
+		{
+			Name: "cn", From: []string{"WaitUser"}, When: estelle.On("T", "TDatInd"),
+			Provided: spduIs(SPDUConnect),
+			Action: func(ctx *estelle.Ctx) {
+				s := parseSPDU(ctx)
+				if s == nil {
+					return
+				}
+				sel, _ := s.Get(PICalledSelector)
+				ctx.Output("S", "SConInd", string(sel), s.UserData())
 			},
-			// --- Connection establishment, called side.
-			{
-				Name: "t-conind", From: []string{"Idle"}, When: estelle.On("T", "TConInd"), To: "WaitUser",
-				Action: func(ctx *estelle.Ctx) {
-					ctx.Output("T", "TConResp") // transport up; await CN
-				},
+		},
+		{
+			Name: "s-conresp-accept", From: []string{"WaitUser"}, When: estelle.On("S", "SConResp"),
+			Provided: func(ctx *estelle.Ctx) bool { return ctx.Msg.Bool(0) },
+			To:       "Connected",
+			Action: func(ctx *estelle.Ctx) {
+				ac := (&SPDU{Type: SPDUAccept}).With(PIUserData, ctx.Msg.Bytes(1))
+				sendSPDU(ctx, ac)
 			},
-			{
-				Name: "cn", From: []string{"WaitUser"}, When: estelle.On("T", "TDatInd"),
-				Provided: spduIs(SPDUConnect),
-				Action: func(ctx *estelle.Ctx) {
-					s := parseSPDU(ctx)
-					if s == nil {
-						return
-					}
-					sel, _ := s.Get(PICalledSelector)
-					ctx.Output("S", "SConInd", string(sel), s.UserData())
-				},
+		},
+		{
+			Name: "s-conresp-refuse", From: []string{"WaitUser"}, When: estelle.On("S", "SConResp"),
+			To: "Closed",
+			Action: func(ctx *estelle.Ctx) {
+				rf := (&SPDU{Type: SPDURefuse}).With(PIUserData, ctx.Msg.Bytes(1))
+				sendSPDU(ctx, rf)
+				ctx.Output("T", "TDisReq")
 			},
-			{
-				Name: "s-conresp-accept", From: []string{"WaitUser"}, When: estelle.On("S", "SConResp"),
-				Provided: func(ctx *estelle.Ctx) bool { return ctx.Msg.Bool(0) },
-				To:       "Connected",
-				Action: func(ctx *estelle.Ctx) {
-					ac := (&SPDU{Type: SPDUAccept}).With(PIUserData, ctx.Msg.Bytes(1))
-					sendSPDU(ctx, ac)
-				},
+		},
+		// --- Data transfer.
+		{
+			Name: "s-datreq", From: []string{"Connected", "WaitDN"}, When: estelle.On("S", "SDatReq"),
+			Action: func(ctx *estelle.Ctx) {
+				dt := (&SPDU{Type: SPDUData}).With(PIUserData, ctx.Msg.Bytes(0))
+				sendSPDU(ctx, dt)
 			},
-			{
-				Name: "s-conresp-refuse", From: []string{"WaitUser"}, When: estelle.On("S", "SConResp"),
-				To: "Closed",
-				Action: func(ctx *estelle.Ctx) {
-					rf := (&SPDU{Type: SPDURefuse}).With(PIUserData, ctx.Msg.Bytes(1))
-					sendSPDU(ctx, rf)
-					ctx.Output("T", "TDisReq")
-				},
+		},
+		{
+			Name: "dt", From: []string{"Connected", "WaitDN", "WaitRelResp"}, When: estelle.On("T", "TDatInd"),
+			Provided: spduIs(SPDUData),
+			Action: func(ctx *estelle.Ctx) {
+				s := parseSPDU(ctx)
+				if s == nil {
+					return
+				}
+				ctx.Output("S", "SDatInd", s.UserData())
 			},
-			// --- Data transfer.
-			{
-				Name: "s-datreq", From: []string{"Connected", "WaitDN"}, When: estelle.On("S", "SDatReq"),
-				Action: func(ctx *estelle.Ctx) {
-					dt := (&SPDU{Type: SPDUData}).With(PIUserData, ctx.Msg.Bytes(0))
-					sendSPDU(ctx, dt)
-				},
+		},
+		// --- Orderly release.
+		{
+			Name: "s-relreq", From: []string{"Connected"}, When: estelle.On("S", "SRelReq"), To: "WaitDN",
+			Action: func(ctx *estelle.Ctx) {
+				ctx.Body().(*machine).releasing = true
+				fn := (&SPDU{Type: SPDUFinish}).With(PIUserData, ctx.Msg.Bytes(0))
+				sendSPDU(ctx, fn)
 			},
-			{
-				Name: "dt", From: []string{"Connected", "WaitDN", "WaitRelResp"}, When: estelle.On("T", "TDatInd"),
-				Provided: spduIs(SPDUData),
-				Action: func(ctx *estelle.Ctx) {
-					s := parseSPDU(ctx)
-					if s == nil {
-						return
-					}
-					ctx.Output("S", "SDatInd", s.UserData())
-				},
+		},
+		{
+			Name: "fn", From: []string{"Connected"}, When: estelle.On("T", "TDatInd"),
+			Provided: spduIs(SPDUFinish), To: "WaitRelResp",
+			Action: func(ctx *estelle.Ctx) {
+				s := parseSPDU(ctx)
+				if s == nil {
+					return
+				}
+				ctx.Output("S", "SRelInd", s.UserData())
 			},
-			// --- Orderly release.
-			{
-				Name: "s-relreq", From: []string{"Connected"}, When: estelle.On("S", "SRelReq"), To: "WaitDN",
-				Action: func(ctx *estelle.Ctx) {
-					ctx.Body().(*machine).releasing = true
-					fn := (&SPDU{Type: SPDUFinish}).With(PIUserData, ctx.Msg.Bytes(0))
-					sendSPDU(ctx, fn)
-				},
+		},
+		{
+			Name: "s-relresp", From: []string{"WaitRelResp"}, When: estelle.On("S", "SRelResp"), To: "Closed",
+			Action: func(ctx *estelle.Ctx) {
+				sendSPDU(ctx, &SPDU{Type: SPDUDisconnect})
 			},
-			{
-				Name: "fn", From: []string{"Connected"}, When: estelle.On("T", "TDatInd"),
-				Provided: spduIs(SPDUFinish), To: "WaitRelResp",
-				Action: func(ctx *estelle.Ctx) {
-					s := parseSPDU(ctx)
-					if s == nil {
-						return
-					}
-					ctx.Output("S", "SRelInd", s.UserData())
-				},
+		},
+		{
+			Name: "dn", From: []string{"WaitDN"}, When: estelle.On("T", "TDatInd"),
+			Provided: spduIs(SPDUDisconnect), To: "Closed",
+			Action: func(ctx *estelle.Ctx) {
+				ctx.Output("S", "SRelCnf")
+				ctx.Output("T", "TDisReq")
 			},
-			{
-				Name: "s-relresp", From: []string{"WaitRelResp"}, When: estelle.On("S", "SRelResp"), To: "Closed",
-				Action: func(ctx *estelle.Ctx) {
-					sendSPDU(ctx, &SPDU{Type: SPDUDisconnect})
-				},
+		},
+		// --- Abort paths.
+		{
+			Name: "s-abort", When: estelle.On("S", "SAbortReq"), To: "Closed",
+			Action: func(ctx *estelle.Ctx) {
+				sendSPDU(ctx, &SPDU{Type: SPDUAbort})
+				ctx.Output("T", "TDisReq")
 			},
-			{
-				Name: "dn", From: []string{"WaitDN"}, When: estelle.On("T", "TDatInd"),
-				Provided: spduIs(SPDUDisconnect), To: "Closed",
-				Action: func(ctx *estelle.Ctx) {
-					ctx.Output("S", "SRelCnf")
-					ctx.Output("T", "TDisReq")
-				},
+		},
+		{
+			Name: "ab", When: estelle.On("T", "TDatInd"),
+			Provided: spduIs(SPDUAbort), To: "Closed",
+			Action: func(ctx *estelle.Ctx) {
+				ctx.Output("S", "SAbortInd")
 			},
-			// --- Abort paths.
-			{
-				Name: "s-abort", When: estelle.On("S", "SAbortReq"), To: "Closed",
-				Action: func(ctx *estelle.Ctx) {
-					sendSPDU(ctx, &SPDU{Type: SPDUAbort})
-					ctx.Output("T", "TDisReq")
-				},
-			},
-			{
-				Name: "ab", When: estelle.On("T", "TDatInd"),
-				Provided: spduIs(SPDUAbort), To: "Closed",
-				Action: func(ctx *estelle.Ctx) {
+		},
+		{
+			Name: "t-disind", When: estelle.On("T", "TDisInd"), To: "Closed",
+			Action: func(ctx *estelle.Ctx) {
+				if !ctx.Body().(*machine).releasing {
 					ctx.Output("S", "SAbortInd")
-				},
-			},
-			{
-				Name: "t-disind", When: estelle.On("T", "TDisInd"), To: "Closed",
-				Action: func(ctx *estelle.Ctx) {
-					if !ctx.Body().(*machine).releasing {
-						ctx.Output("S", "SAbortInd")
-					}
-				},
-			},
-			// Drain unexpected inputs in Closed so queues cannot wedge.
-			{
-				Name: "closed-drain-t", From: []string{"Closed"}, When: estelle.On("T", "TDatInd"),
-				Priority: 10,
-				Action:   func(*estelle.Ctx) {},
-			},
-			{
-				Name: "closed-drain-s", From: []string{"Closed"}, When: estelle.On("S", "SDatReq"),
-				Priority: 10,
-				Action:   func(*estelle.Ctx) {},
+				}
 			},
 		},
-	}
-}
+		// Drain unexpected inputs in Closed so queues cannot wedge.
+		{
+			Name: "closed-drain-t", From: []string{"Closed"}, When: estelle.On("T", "TDatInd"),
+			Priority: 10,
+			Action:   func(*estelle.Ctx) {},
+		},
+		{
+			Name: "closed-drain-s", From: []string{"Closed"}, When: estelle.On("S", "SDatReq"),
+			Priority: 10,
+			Action:   func(*estelle.Ctx) {},
+		},
+	},
+})
 
 // SystemDef wraps the protocol machine as a standalone system module for
 // tests that run a session entity alone.
-func SystemDef(dispatch estelle.Dispatch) *estelle.ModuleDef {
-	def := *ProtocolMachineDef(dispatch)
+func SystemDef() *estelle.ModuleDef {
+	def := *protocolMachine
 	def.Attr = estelle.SystemProcess
 	return &def
 }

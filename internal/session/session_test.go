@@ -120,11 +120,11 @@ func newHarness(t *testing.T) *harness {
 	rt := estelle.NewRuntime(estelle.WithStrict())
 	h := &harness{rt: rt}
 	var err error
-	h.init, err = rt.AddSystem(SystemDef(estelle.DispatchTable), "initPM")
+	h.init, err = rt.AddSystem(SystemDef(), "initPM")
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.resp, err = rt.AddSystem(SystemDef(estelle.DispatchTable), "respPM")
+	h.resp, err = rt.AddSystem(SystemDef(), "respPM")
 	if err != nil {
 		t.Fatal(err)
 	}

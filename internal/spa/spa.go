@@ -41,7 +41,6 @@ type EventKind int
 // layer.
 const (
 	EventStarted EventKind = iota + 1
-	EventProgress
 	EventCompleted
 	EventAborted
 )
@@ -98,9 +97,9 @@ type Config struct {
 	Dialer StreamDialer
 	// Events receives lifecycle notifications; nil disables them.
 	Events func(Event)
-	// Window is the default adaptive-delivery window applied to plays
-	// that do not set their own (0 keeps adaptation off: every frame is
-	// sent, the pre-feedback behaviour).
+	// Window is the adaptive-delivery window applied to every play (0
+	// keeps adaptation off: every frame is sent, the pre-feedback
+	// behaviour).
 	Window int
 	// Totals, when non-nil, accumulates finished streams' counters —
 	// typically one shared instance per server.
@@ -129,13 +128,6 @@ type PlayOptions struct {
 	// From is the first frame to send; Count bounds how many (0 = to the
 	// end).
 	From, Count int64
-	// Window overrides the agent's default adaptive-delivery window
-	// (< 0 forces adaptation off for this stream).
-	Window int
-	// EOSRepeats overrides the end-of-stream marker repetition
-	// (0 = 5: a stream's termination must survive lossy paths, or the
-	// receiver blocks until its own timeout).
-	EOSRepeats int
 }
 
 // StreamStats describes one active or just-finished stream.
@@ -202,22 +194,12 @@ func (a *Agent) Play(id int64, addr string, src moviedb.FrameSource, opt PlayOpt
 		// terminate at its Count.
 		end = opt.From + opt.Count
 	}
-	window := a.cfg.Window
-	if opt.Window > 0 {
-		window = opt.Window
-	} else if opt.Window < 0 {
-		window = 0
-	}
-	if opt.EOSRepeats == 0 {
-		opt.EOSRepeats = 5
-	}
 	sender := mtp.NewStreamSender(conn, mtp.StreamConfig{
-		StreamID:   uint32(id),
-		FrameRate:  opt.FrameRate,
-		Window:     window,
-		EOSRepeats: opt.EOSRepeats,
-		Throttle:   a.cfg.Throttle,
-		End:        end,
+		StreamID:  uint32(id),
+		FrameRate: opt.FrameRate,
+		Window:    a.cfg.Window,
+		Throttle:  a.cfg.Throttle,
+		End:       end,
 	})
 	st := &stream{id: id, sender: sender, conn: conn, src: src}
 

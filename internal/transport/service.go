@@ -31,60 +31,63 @@ var ServiceChannel = &estelle.ChannelDef{
 // PipeProviderDef returns the module definition of an in-runtime transport
 // pipe serving exactly one connection between its two service access points
 // A and B — the "simulated transport layer pipe" of the paper's §5.1 test
-// environment. It is a plain Estelle FSM: no goroutines, no I/O.
-func PipeProviderDef() *estelle.ModuleDef {
-	relay := func(from, to string) estelle.Trans {
-		return estelle.Trans{
-			Name: "data-" + from + to,
-			From: []string{"Connected"},
-			When: estelle.On(from, "TDatReq"),
+// environment. It is a plain Estelle FSM: no goroutines, no I/O. It is one
+// def, compiled once and shared by every pipe; callers must not modify it.
+func PipeProviderDef() *estelle.ModuleDef { return pipeProvider }
+
+var pipeProvider = estelle.MustCompile(&estelle.ModuleDef{
+	Name: "TransportPipe",
+	Attr: estelle.Process,
+	IPs: []estelle.IPDef{
+		{Name: "A", Channel: ServiceChannel, Role: "provider"},
+		{Name: "B", Channel: ServiceChannel, Role: "provider"},
+	},
+	States: []string{"Idle", "Calling", "Connected"},
+	Trans: []estelle.Trans{
+		{
+			Name: "connect",
+			From: []string{"Idle"},
+			When: estelle.On("A", "TConReq"),
+			To:   "Calling",
 			Action: func(ctx *estelle.Ctx) {
-				ctx.Output(to, "TDatInd", ctx.Msg.Arg(0))
+				ctx.Output("B", "TConInd", ctx.Msg.Arg(0))
 			},
-		}
-	}
-	disconnect := func(from, to string) estelle.Trans {
-		return estelle.Trans{
-			Name: "dis-" + from + to,
-			From: []string{"Connected", "Calling"},
-			When: estelle.On(from, "TDisReq"),
-			To:   "Idle",
-			Action: func(ctx *estelle.Ctx) {
-				ctx.Output(to, "TDisInd")
-			},
-		}
-	}
-	return &estelle.ModuleDef{
-		Name: "TransportPipe",
-		Attr: estelle.Process,
-		IPs: []estelle.IPDef{
-			{Name: "A", Channel: ServiceChannel, Role: "provider"},
-			{Name: "B", Channel: ServiceChannel, Role: "provider"},
 		},
-		States: []string{"Idle", "Calling", "Connected"},
-		Trans: []estelle.Trans{
-			{
-				Name: "connect",
-				From: []string{"Idle"},
-				When: estelle.On("A", "TConReq"),
-				To:   "Calling",
-				Action: func(ctx *estelle.Ctx) {
-					ctx.Output("B", "TConInd", ctx.Msg.Arg(0))
-				},
+		{
+			Name: "accept",
+			From: []string{"Calling"},
+			When: estelle.On("B", "TConResp"),
+			To:   "Connected",
+			Action: func(ctx *estelle.Ctx) {
+				ctx.Output("A", "TConCnf")
 			},
-			{
-				Name: "accept",
-				From: []string{"Calling"},
-				When: estelle.On("B", "TConResp"),
-				To:   "Connected",
-				Action: func(ctx *estelle.Ctx) {
-					ctx.Output("A", "TConCnf")
-				},
-			},
-			relay("A", "B"),
-			relay("B", "A"),
-			disconnect("A", "B"),
-			disconnect("B", "A"),
+		},
+		pipeRelay("A", "B"),
+		pipeRelay("B", "A"),
+		pipeDisconnect("A", "B"),
+		pipeDisconnect("B", "A"),
+	},
+})
+
+func pipeRelay(from, to string) estelle.Trans {
+	return estelle.Trans{
+		Name: "data-" + from + to,
+		From: []string{"Connected"},
+		When: estelle.On(from, "TDatReq"),
+		Action: func(ctx *estelle.Ctx) {
+			ctx.Output(to, "TDatInd", ctx.Msg.Arg(0))
+		},
+	}
+}
+
+func pipeDisconnect(from, to string) estelle.Trans {
+	return estelle.Trans{
+		Name: "dis-" + from + to,
+		From: []string{"Connected", "Calling"},
+		When: estelle.On(from, "TDisReq"),
+		To:   "Idle",
+		Action: func(ctx *estelle.Ctx) {
+			ctx.Output(to, "TDisInd")
 		},
 	}
 }
@@ -92,7 +95,7 @@ func PipeProviderDef() *estelle.ModuleDef {
 // SystemPipeProviderDef wraps PipeProviderDef as a standalone system module
 // so a pipe can be added directly to a runtime.
 func SystemPipeProviderDef() *estelle.ModuleDef {
-	def := *PipeProviderDef()
+	def := *pipeProvider
 	def.Attr = estelle.SystemProcess
 	return &def
 }

@@ -5,31 +5,9 @@ import (
 	"net/http"
 	"strings"
 	"testing"
-	"time"
 
 	"xmovie"
 )
-
-// TestNilEnvStreamReadTimeout is the regression test for the facade
-// silently dropping Limits.StreamReadTimeout when no Env was supplied:
-// the server now builds its own environment and the bound must land in it.
-func TestNilEnvStreamReadTimeout(t *testing.T) {
-	srv, err := xmovie.ListenAndServe(xmovie.ServerConfig{
-		Stack:  xmovie.StackHandcoded,
-		Limits: xmovie.Limits{StreamReadTimeout: 30 * time.Millisecond},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	env := srv.Env()
-	if env == nil || env.Store == nil {
-		t.Fatalf("nil-env server built no environment: %+v", env)
-	}
-	if env.StreamReadTimeout != 30*time.Millisecond {
-		t.Fatalf("StreamReadTimeout = %v, want 30ms (dropped with nil Env)", env.StreamReadTimeout)
-	}
-}
 
 // TestFacadeObserve exercises the unified snapshot through the public API:
 // per-tenant admission counters, the deprecated Stats/StreamStats wrappers

@@ -10,9 +10,9 @@ import (
 	"xmovie/internal/transport"
 )
 
-// Limits groups the server's admission and pacing bounds: the global
-// session ceiling, the busy retry-after hint, the per-read storage
-// timeout, and the per-tenant QoS policy.
+// Limits groups the server's admission bounds: the global session
+// ceiling, the busy retry-after hint, and the per-tenant QoS policy. The
+// per-read storage timeout is ServerEnv.StreamReadTimeout.
 type Limits = core.Limits
 
 // QoSPolicy maps tenants to service classes: per-tenant session quotas,
@@ -59,8 +59,8 @@ type ServerConfig struct {
 	// Processors limits the generated stack to P virtual processors
 	// (0 = unlimited), modelling the paper's multiprocessor sizing.
 	Processors int
-	// Limits bounds admission and pacing: session ceiling, busy
-	// retry-after hint, storage read timeout, per-tenant QoS policy.
+	// Limits bounds admission: session ceiling, busy retry-after hint,
+	// per-tenant QoS policy.
 	Limits Limits
 	// TenantOf classifies an accepted listener connection into a tenant
 	// name for Limits.QoS (nil = every connection is the default tenant).
