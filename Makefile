@@ -126,7 +126,8 @@ bench-guard:
 
 # Fuzz smoke: each native fuzz target for ten seconds — the typed MCAM and
 # presentation decoders against their schema oracle, the SPDU parser's round
-# trip, and TPKT framing. `make test` already replays the committed seed
+# trip, TPKT framing and disk-store open over arbitrary segment and metadata
+# bytes. `make test` already replays the committed seed
 # corpora (testdata/fuzz); this explores past them. An input that fails is written
 # into the package's testdata/fuzz, where, once committed, `make test`
 # replays it.
@@ -135,6 +136,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzDecode$$' -fuzztime=10s ./internal/presentation
 	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=10s ./internal/session
 	$(GO) test -run='^$$' -fuzz='^FuzzTPKTRecv$$' -fuzztime=10s ./internal/transport
+	$(GO) test -run='^$$' -fuzz='^FuzzDiskOpen$$' -fuzztime=10s ./internal/moviedb
 
 # Everything CI checks, locally.
 ci: fmt-check vet lint cross bench-check build generate-check test-short race-wake test fuzz-smoke bench-smoke bench-guard

@@ -86,13 +86,9 @@ func main() {
 		os.Exit(1)
 	}
 
-	// The server builds the store from the backend selection (a durable
-	// sharded segment store under -data, in-memory otherwise) and
-	// publishes it into env.Store for seeding.
-	backend := xmovie.BackendMemory
-	if *dataDir != "" {
-		backend = xmovie.BackendDisk
-	}
+	// The server builds the store (a durable sharded segment store under
+	// -data, in-memory otherwise) and publishes it into env.Store for
+	// seeding.
 	env := &xmovie.ServerEnv{
 		Dialer: xmovie.UDPDialer(), // Play requests carry host:port UDP addresses
 		EUA:    equipment.NewEUA(eca, "mcamd"),
@@ -102,7 +98,6 @@ func main() {
 		MetricsAddr: *metricsAddr,
 		Stack:       stack,
 		Env:         env,
-		Backend:     backend,
 		DataDir:     *dataDir,
 		Processors:  *procs,
 	}
@@ -136,8 +131,12 @@ func main() {
 			os.Exit(1)
 		}
 	}
+	store := "memory"
+	if *dataDir != "" {
+		store = "disk"
+	}
 	fmt.Printf("mcamd: serving %d movies (%d newly seeded) on %s (%s stack, %s store); streams go to client UDP addresses\n",
-		len(env.Store.List()), seeded, srv.Addr(), *stackName, backend)
+		len(env.Store.List()), seeded, srv.Addr(), *stackName, store)
 	if srv.MetricsAddr() != "" {
 		fmt.Printf("mcamd: metrics on http://%s/metrics\n", srv.MetricsAddr())
 	}

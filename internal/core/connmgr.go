@@ -155,13 +155,12 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	var ownedStore io.Closer
 	var ownedCache *moviedb.ChunkCache
 	if cfg.Env.Store == nil {
-		// The server builds (and owns) its store from the configured
-		// backend, publishing it into the shared Env so callers can seed
-		// the catalogue after NewServer returns.
-		switch cfg.Backend {
-		case moviedb.BackendMemory:
+		// The server builds (and owns) its store, durable under a data
+		// directory and in memory otherwise, publishing it into the shared
+		// Env so callers can seed the catalogue after NewServer returns.
+		if cfg.DataDir == "" {
 			cfg.Env.Store = moviedb.NewShardedStore(0)
-		case moviedb.BackendDisk:
+		} else {
 			// The cache is created here rather than inside the store so the
 			// server can observe its hit rates (Observe, /metrics).
 			ownedCache = moviedb.NewChunkCache(0)
@@ -171,8 +170,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 			}
 			cfg.Env.Store = store
 			ownedStore = store
-		default:
-			return nil, fmt.Errorf("core: unknown store backend %v", cfg.Backend)
 		}
 	}
 	if cfg.Env.StreamTotals == nil {

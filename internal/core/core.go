@@ -26,7 +26,6 @@ import (
 
 	"xmovie/internal/estelle"
 	"xmovie/internal/mcam"
-	"xmovie/internal/moviedb"
 	"xmovie/internal/presentation"
 	"xmovie/internal/qos"
 	"xmovie/internal/session"
@@ -164,16 +163,12 @@ type ServerConfig struct {
 	Stack StackKind
 	// Env provides store, streams, directory and equipment. A nil Env is
 	// legal: the server builds an empty one (reachable via Server.Env).
-	// When Env.Store is nil the server constructs one from Backend/DataDir
-	// and owns it (closing it on shutdown); the built store is published
-	// back into Env.Store so callers can seed it.
+	// When Env.Store is nil the server constructs one from DataDir and
+	// owns it (closing it on shutdown); the built store is published back
+	// into Env.Store so callers can seed it.
 	Env *mcam.ServerEnv
-	// Backend selects the store implementation built when Env.Store is nil:
-	// BackendMemory (default) stripes MemStores, BackendDisk opens a
-	// sharded durable segment store under DataDir.
-	Backend moviedb.Backend
-	// DataDir is the disk backend's root directory (required for
-	// BackendDisk).
+	// DataDir, when non-empty, roots the durable sharded segment store
+	// built for a nil Env.Store; empty builds striped in-memory stores.
 	DataDir string
 	// Processors limits the generated stack to P virtual processors
 	// (0 = unlimited).

@@ -21,7 +21,6 @@ func diskServer(t *testing.T, dir string, sim *mcam.SimNet, eua *equipment.EUA) 
 	srv, err := NewServer(ServerConfig{
 		Stack:   StackHandcoded,
 		Env:     env,
-		Backend: moviedb.BackendDisk,
 		DataDir: dir,
 	})
 	if err != nil {

@@ -9,44 +9,6 @@ import (
 	"path/filepath"
 )
 
-// Backend selects a movie-store implementation for servers that construct
-// their own store (core.ServerConfig).
-type Backend int
-
-// Store backends.
-const (
-	// BackendMemory keeps movies in RAM (the historical behaviour): fast,
-	// volatile, bounded by memory.
-	BackendMemory Backend = iota
-	// BackendDisk persists movies to per-movie segment files under a data
-	// directory, streaming them back through a bounded chunk cache.
-	BackendDisk
-)
-
-// String names the backend.
-func (b Backend) String() string {
-	switch b {
-	case BackendMemory:
-		return "memory"
-	case BackendDisk:
-		return "disk"
-	default:
-		return fmt.Sprintf("Backend(%d)", int(b))
-	}
-}
-
-// ParseBackend maps a backend name to its constant.
-func ParseBackend(s string) (Backend, error) {
-	switch s {
-	case "memory", "mem", "":
-		return BackendMemory, nil
-	case "disk":
-		return BackendDisk, nil
-	default:
-		return 0, fmt.Errorf("moviedb: unknown backend %q", s)
-	}
-}
-
 // OpenShardedDiskStore opens a durable store striped over independent
 // DiskStore shards (subdirectories shard-000..), sharing one chunk cache so
 // the cache bound is store-wide. A directory that already holds shards is

@@ -19,24 +19,19 @@ import (
 //
 //	<root>/<escaped-name>/meta.json    name, format, frame rate, attributes
 //	<root>/<escaped-name>/segment.dat  frames: u32 BE payload length + payload
-//	<root>/<escaped-name>/segment.idx  sidecar: magic + u64 BE end offsets
 //
-// The segment is append-only; the index is pure acceleration and fully
-// rebuildable by scanning the segment. Opening a movie validates the index
-// against the segment and repairs both: index entries past the segment are
-// dropped, un-indexed complete records are re-discovered by scanning, and a
-// torn record at the tail (a crash mid-append) is truncated away — every
-// frame before the tear survives byte-identically.
+// The segment is append-only and the only record of a movie's frames.
+// Opening a movie scans its record headers from offset 0 into the
+// in-memory index, and a torn record at the tail (a crash mid-append) is
+// truncated away — every frame before the tear survives byte-identically.
+// A segment.idx left beside the segment by older stores is ignored.
 
 const (
 	segmentName = "segment.dat"
-	indexName   = "segment.idx"
 	metaName    = "meta.json"
 
 	// frameHeaderLen is the per-record length prefix (u32 big-endian).
 	frameHeaderLen = 4
-	// indexMagic begins every index sidecar; a bad magic means "rebuild".
-	indexMagic = "XMVIDX1\n"
 )
 
 // MaxFrameBytes bounds a single frame record; a length prefix above it is
@@ -108,7 +103,6 @@ type diskMovie struct {
 	frameRate int
 	attrs     []Attr // immutable snapshot, replaced by SetAttrs
 	seg       *os.File
-	idx       *os.File
 	// ends[i] is the byte offset just past frame i's record; frame i's
 	// payload occupies [start(i)+frameHeaderLen, ends[i]).
 	ends []int64
@@ -124,7 +118,7 @@ type diskMovie struct {
 }
 
 // OpenDiskStore opens (creating if needed) a durable movie store rooted at
-// dir, recovering every movie's index and truncating torn appends.
+// dir, scanning every movie's segment and truncating torn appends.
 func OpenDiskStore(dir string, cfg DiskConfig) (*DiskStore, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("moviedb: disk store needs a directory")
@@ -151,11 +145,13 @@ func OpenDiskStore(dir string, cfg DiskConfig) (*DiskStore, error) {
 	if err != nil {
 		return nil, fmt.Errorf("moviedb: %w", err)
 	}
+	// One readahead buffer serves every movie's scan.
+	hr := new(headerReader)
 	for _, e := range entries {
 		if !e.IsDir() {
 			continue
 		}
-		m, err := s.openMovie(filepath.Join(dir, e.Name()))
+		m, err := s.openMovie(filepath.Join(dir, e.Name()), hr)
 		if err != nil {
 			s.Close()
 			return nil, fmt.Errorf("moviedb: open %s: %w", e.Name(), err)
@@ -177,9 +173,9 @@ func (s *DiskStore) Dir() string { return s.dir }
 // Cache returns the store's chunk cache (for statistics and sharing).
 func (s *DiskStore) Cache() *ChunkCache { return s.cache }
 
-// openMovie loads one movie directory, repairing its index. Directories
+// openMovie loads one movie directory, repairing its segment. Directories
 // without a meta.json are skipped (nil, nil) — they are not movies.
-func (s *DiskStore) openMovie(dir string) (*diskMovie, error) {
+func (s *DiskStore) openMovie(dir string, hr *headerReader) (*diskMovie, error) {
 	metaRaw, err := os.ReadFile(filepath.Join(dir, metaName))
 	if errors.Is(err, os.ErrNotExist) {
 		return nil, nil
@@ -207,7 +203,7 @@ func (s *DiskStore) openMovie(dir string) (*diskMovie, error) {
 	if err := m.openFiles(); err != nil {
 		return nil, err
 	}
-	if err := m.recover(); err != nil {
+	if err := m.recover(hr); err != nil {
 		m.closeFiles()
 		return nil, err
 	}
@@ -217,23 +213,12 @@ func (s *DiskStore) openMovie(dir string) (*diskMovie, error) {
 func (m *diskMovie) openFiles() error {
 	var err error
 	m.seg, err = os.OpenFile(filepath.Join(m.dir, segmentName), os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return err
-	}
-	m.idx, err = os.OpenFile(filepath.Join(m.dir, indexName), os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		m.seg.Close()
-		return err
-	}
-	return nil
+	return err
 }
 
 func (m *diskMovie) closeFiles() {
 	if m.seg != nil {
 		m.seg.Close()
-	}
-	if m.idx != nil {
-		m.idx.Close()
 	}
 }
 
@@ -261,15 +246,20 @@ func (m *diskMovie) release() {
 }
 
 // headerReader reads 4-byte record headers at increasing offsets through a
-// readahead buffer, so open-time validation of a small-frame segment costs
+// readahead buffer, so the open-time scan of a small-frame segment costs
 // one pread per buffer window instead of one per frame (large frames
-// degrade gracefully to one read per header).
+// degrade gracefully to one read per header). reset points it at the next
+// segment, so one reader serves a whole store open.
 type headerReader struct {
 	f    *os.File
 	size int64
 	buf  [256 << 10]byte
 	base int64 // file offset of buf[0]
 	n    int   // valid bytes in buf
+}
+
+func (r *headerReader) reset(f *os.File, size int64) {
+	r.f, r.size, r.base, r.n = f, size, 0, 0
 }
 
 func (r *headerReader) header(off int64) (uint32, error) {
@@ -288,59 +278,18 @@ func (r *headerReader) header(off int64) (uint32, error) {
 	return binary.BigEndian.Uint32(r.buf[i : i+frameHeaderLen]), nil
 }
 
-// recover reconciles the index sidecar with the segment file: the valid
-// index prefix is trusted, the remainder of the segment is re-scanned for
-// complete records, and a torn tail record is truncated off both. The
-// sidecar is rewritten whenever it disagreed with the recovered state.
-func (m *diskMovie) recover() error {
+// recover scans the segment's records from offset 0 into the in-memory
+// index; the first torn record marks the true end of the movie and is
+// truncated off, durably, before the movie serves a frame.
+func (m *diskMovie) recover(hr *headerReader) error {
 	st, err := m.seg.Stat()
 	if err != nil {
 		return err
 	}
 	size := st.Size()
-
-	idxRaw, err := io.ReadAll(io.NewSectionReader(m.idx, 0, 1<<30))
-	if err != nil {
-		return err
-	}
+	hr.reset(m.seg, size)
 	var ends []int64
-	hr := &headerReader{f: m.seg, size: size}
-	indexed := 0 // entries stored in the sidecar, valid or not
-	if len(idxRaw) >= len(indexMagic) && string(idxRaw[:len(indexMagic)]) == indexMagic {
-		body := idxRaw[len(indexMagic):]
-		indexed = len(body) / 8
-		prev := int64(0)
-		for i := 0; i+8 <= len(body); i += 8 {
-			end := int64(binary.BigEndian.Uint64(body[i : i+8]))
-			if end < prev+frameHeaderLen || end > size {
-				break
-			}
-			// The sidecar itself is written without fsync, so a torn entry
-			// can be monotonic and in-bounds yet point mid-record — and a
-			// rescan from a misaligned boundary could truncate durable
-			// frames. Trust an entry only if the record header at its start
-			// claims exactly this span; the rescan below rebuilds the rest
-			// from the segment's own framing.
-			hdr, err := hr.header(prev)
-			if err != nil {
-				return err
-			}
-			if int64(hdr) != end-prev-frameHeaderLen {
-				break
-			}
-			ends = append(ends, end)
-			prev = end
-		}
-	} else if len(idxRaw) > 0 {
-		indexed = -1 // unreadable sidecar: force a rewrite
-	}
-
-	// Scan the un-indexed remainder of the segment for complete records;
-	// the first torn record marks the true end of the movie.
 	off := int64(0)
-	if len(ends) > 0 {
-		off = ends[len(ends)-1]
-	}
 	truncated := false
 	for off < size {
 		if size-off < frameHeaderLen {
@@ -368,24 +317,7 @@ func (m *diskMovie) recover() error {
 		}
 	}
 	m.ends = ends
-	if indexed != len(ends) || truncated {
-		return m.rewriteIndex()
-	}
 	return nil
-}
-
-// rewriteIndex replaces the sidecar with the in-memory index.
-func (m *diskMovie) rewriteIndex() error {
-	buf := make([]byte, len(indexMagic)+8*len(m.ends))
-	copy(buf, indexMagic)
-	for i, end := range m.ends {
-		binary.BigEndian.PutUint64(buf[len(indexMagic)+8*i:], uint64(end))
-	}
-	if err := m.idx.Truncate(0); err != nil {
-		return err
-	}
-	_, err := m.idx.WriteAt(buf, 0)
-	return err
 }
 
 // writeMeta persists the descriptive attributes atomically: temp file,
@@ -488,12 +420,8 @@ func (s *DiskStore) Create(mv *Movie) error {
 		return fail(fmt.Errorf("moviedb: %w", err))
 	}
 	// Existing bytes under this escaped name (a crash-interrupted earlier
-	// create, or an unclean delete) must not leak into the new movie, and
-	// the index needs its magic before incremental appends extend it.
+	// create, or an unclean delete) must not leak into the new movie.
 	if err := m.seg.Truncate(0); err != nil {
-		return fail(fmt.Errorf("moviedb: %w", err))
-	}
-	if err := m.rewriteIndex(); err != nil {
 		return fail(fmt.Errorf("moviedb: %w", err))
 	}
 	if mv.Content != nil {
@@ -559,9 +487,9 @@ func (m *diskMovie) appendFromSource(src FrameSource) error {
 }
 
 // appendFrames writes frame records at the segment tail, extends the
-// index, and — while a live window is open — publishes the frames to
-// tailing sources (views into the freshly written buffer, so fan-out costs
-// no extra copy). The segment write is a single WriteAt followed by fsync;
+// in-memory index, and — while a live window is open — publishes the
+// frames to tailing sources (views into the freshly written buffer, so
+// fan-out costs no extra copy). The segment write is a single WriteAt followed by fsync;
 // on any error the tail is truncated back so the movie never holds a torn
 // record in a running store (a crash mid-write is repaired by recover
 // instead). Returns the movie's new frame count.
@@ -600,13 +528,6 @@ func (m *diskMovie) appendFrames(frames [][]byte) (int64, error) {
 		_ = m.seg.Truncate(base)
 		return 0, err
 	}
-	// Index entries are acceleration only: failure to extend the sidecar
-	// is repaired on next open, not a reason to fail the append.
-	ibuf := make([]byte, 8*len(newEnds))
-	for i, end := range newEnds {
-		binary.BigEndian.PutUint64(ibuf[8*i:], uint64(end))
-	}
-	_, _ = m.idx.WriteAt(ibuf, int64(len(indexMagic)+8*len(m.ends)))
 	m.ends = append(m.ends, newEnds...)
 	if m.live != nil {
 		// Under m.mu, so ring indices always equal segment indices.

@@ -154,10 +154,9 @@ func TestDiskStorePersistsAcrossReopen(t *testing.T) {
 	}
 }
 
-// movieFiles returns the segment and index paths of a stored movie.
-func movieFiles(dir, name string) (seg, idx string) {
-	d := filepath.Join(dir, escapeName(name))
-	return filepath.Join(d, segmentName), filepath.Join(d, indexName)
+// segmentFile returns the segment path of a stored movie.
+func segmentFile(dir, name string) string {
+	return filepath.Join(dir, escapeName(name), segmentName)
 }
 
 // TestDiskStoreCrashRecovery truncates the segment at every byte offset
@@ -183,12 +182,7 @@ func TestDiskStoreCrashRecovery(t *testing.T) {
 		}
 		s.Close()
 	}
-	segPath, idxPath := movieFiles(pristineDir, "crashy")
-	segRaw, err := os.ReadFile(segPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	idxRaw, err := os.ReadFile(idxPath)
+	segRaw, err := os.ReadFile(segmentFile(pristineDir, "crashy"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,10 +219,8 @@ func TestDiskStoreCrashRecovery(t *testing.T) {
 				t.Fatalf("cut at %d: surviving frame %d corrupted", cut, i)
 			}
 		}
-		// The repaired segment must be truncated to the last good record
-		// and the rebuilt index must agree with it exactly.
-		seg, _ := movieFiles(dir, "crashy")
-		st, err := os.Stat(seg)
+		// The repaired segment must be truncated to the last good record.
+		st, err := os.Stat(segmentFile(dir, "crashy"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -256,71 +248,34 @@ func TestDiskStoreCrashRecovery(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(dir, escapeName("crashy"), metaName), metaRaw, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		seg, idx := movieFiles(dir, "crashy")
-		if err := os.WriteFile(seg, segRaw[:cut], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		// The stale index still claims every frame: recovery must distrust
-		// it against the shorter segment.
-		if err := os.WriteFile(idx, idxRaw, 0o644); err != nil {
+		if err := os.WriteFile(segmentFile(dir, "crashy"), segRaw[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
 		check(t, dir, cut)
 	}
 
 	t.Run("missing index", func(t *testing.T) {
+		// The segment alone is the truth: a store reopens whole without
+		// any index file beside it.
 		dir := filepath.Join(baseDir, "noidx")
 		if err := os.CopyFS(dir, os.DirFS(pristineDir)); err != nil {
 			t.Fatal(err)
 		}
-		_, idx := movieFiles(dir, "crashy")
-		if err := os.Remove(idx); err != nil {
-			t.Fatal(err)
+		idx := filepath.Join(dir, escapeName("crashy"), "segment.idx")
+		if _, err := os.Stat(idx); !os.IsNotExist(err) {
+			t.Fatalf("store wrote an index file beside the segment: %v", err)
 		}
 		check(t, dir, ends[len(frames)])
 	})
 
 	t.Run("garbage index", func(t *testing.T) {
+		// Older stores kept a segment.idx beside the segment; a leftover
+		// one, garbage or not, is never read.
 		dir := filepath.Join(baseDir, "badidx")
 		if err := os.CopyFS(dir, os.DirFS(pristineDir)); err != nil {
 			t.Fatal(err)
 		}
-		_, idx := movieFiles(dir, "crashy")
-		if err := os.WriteFile(idx, []byte("not an index at all"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		check(t, dir, ends[len(frames)])
-	})
-
-	t.Run("index behind segment", func(t *testing.T) {
-		// Crash after the segment write but before the index append: the
-		// index misses the last records; recovery rediscovers them.
-		dir := filepath.Join(baseDir, "shortidx")
-		if err := os.CopyFS(dir, os.DirFS(pristineDir)); err != nil {
-			t.Fatal(err)
-		}
-		_, idx := movieFiles(dir, "crashy")
-		if err := os.Truncate(idx, int64(len(indexMagic)+8*3)); err != nil {
-			t.Fatal(err)
-		}
-		check(t, dir, ends[len(frames)])
-	})
-
-	t.Run("torn index entry", func(t *testing.T) {
-		// The sidecar is written without fsync, so an entry can tear into
-		// a value that is monotonic and in-bounds yet points mid-record.
-		// Recovery must reject it against the record header instead of
-		// rescanning from a misaligned boundary (which could truncate
-		// durable frames).
-		dir := filepath.Join(baseDir, "tornidx")
-		if err := os.CopyFS(dir, os.DirFS(pristineDir)); err != nil {
-			t.Fatal(err)
-		}
-		_, idx := movieFiles(dir, "crashy")
-		raw := append([]byte(nil), idxRaw...)
-		entry := raw[len(indexMagic)+8*5 : len(indexMagic)+8*6]
-		binary.BigEndian.PutUint64(entry, binary.BigEndian.Uint64(entry)-2)
-		if err := os.WriteFile(idx, raw, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, escapeName("crashy"), "segment.idx"), []byte("not an index at all"), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		check(t, dir, ends[len(frames)])
@@ -328,7 +283,7 @@ func TestDiskStoreCrashRecovery(t *testing.T) {
 
 	t.Run("crash mid-create", func(t *testing.T) {
 		// A create that died before its completion marker (meta.json is
-		// written last) leaves segment/index files but no metadata: the
+		// written last) leaves a segment file but no metadata: the
 		// store skips the directory, and re-creating the movie overwrites
 		// the leftovers instead of serving a silently truncated movie.
 		dir := filepath.Join(baseDir, "midcreate")
@@ -363,7 +318,7 @@ func TestDiskStoreCrashRecovery(t *testing.T) {
 		if err := os.CopyFS(dir, os.DirFS(pristineDir)); err != nil {
 			t.Fatal(err)
 		}
-		seg, _ := movieFiles(dir, "crashy")
+		seg := segmentFile(dir, "crashy")
 		var hdr [frameHeaderLen]byte
 		binary.BigEndian.PutUint32(hdr[:], 1<<20)
 		f, err := os.OpenFile(seg, os.O_WRONLY|os.O_APPEND, 0o644)
@@ -814,7 +769,7 @@ func TestCrashMidLiveBroadcastSealsAndTruncates(t *testing.T) {
 	if err := os.CopyFS(crashDir, os.DirFS(liveDir)); err != nil {
 		t.Fatal(err)
 	}
-	seg, _ := movieFiles(crashDir, "cast")
+	seg := segmentFile(crashDir, "cast")
 	st, err := os.Stat(seg)
 	if err != nil {
 		t.Fatal(err)

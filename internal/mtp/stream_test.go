@@ -456,7 +456,7 @@ func TestSeekToEOFEndsCleanly(t *testing.T) {
 		s, runDone, recvDone := controlled(t, send, recv, 500)
 		recv.awaitData(t, 5)
 		s.SeekTo(4000)
-		st := await(t, "sender", runDone)
+		st := awaitRun(t, runDone)
 		rstats := await(t, "receiver", recvDone)
 		if !st.Done || st.Pos != 4000 {
 			t.Fatalf("send stats after seek to EOF: %+v", st)

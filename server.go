@@ -7,7 +7,6 @@ import (
 	"xmovie/internal/core"
 	"xmovie/internal/qos"
 	"xmovie/internal/spa"
-	"xmovie/internal/transport"
 )
 
 // Limits groups the server's admission bounds: the global session
@@ -46,15 +45,13 @@ type ServerConfig struct {
 	Stack StackKind
 	// Env provides the movie store, stream dialer, directory and
 	// equipment. When Env.Store is nil the server builds one from
-	// Backend/DataDir, owns it (closed on shutdown) and publishes it back
-	// into Env.Store so the caller can seed the catalogue. A nil Env is
+	// DataDir, owns it (closed on shutdown) and publishes it back into
+	// Env.Store so the caller can seed the catalogue. A nil Env is
 	// equivalent to a zero one.
 	Env *ServerEnv
-	// Backend selects the store built for a nil Env.Store: BackendMemory
-	// (default, sharded in-RAM) or BackendDisk (durable segment files).
-	Backend Backend
-	// DataDir roots the disk backend's movie directories (required for
-	// BackendDisk).
+	// DataDir, when non-empty, roots the durable store built for a nil
+	// Env.Store (per-movie segment files streamed back through a bounded
+	// chunk cache); empty builds a sharded in-memory store.
 	DataDir string
 	// Processors limits the generated stack to P virtual processors
 	// (0 = unlimited), modelling the paper's multiprocessor sizing.
@@ -91,20 +88,15 @@ type Server struct {
 
 // ListenAndServe starts an MCAM server.
 func ListenAndServe(cfg ServerConfig) (*Server, error) {
-	var tenantOf func(transport.Conn) string
-	if cfg.TenantOf != nil {
-		tenantOf = cfg.TenantOf
-	}
 	inner, err := core.NewServer(core.ServerConfig{
 		Addr:        cfg.Addr,
 		MetricsAddr: cfg.MetricsAddr,
 		Stack:       cfg.Stack,
 		Env:         cfg.Env,
-		Backend:     cfg.Backend,
 		DataDir:     cfg.DataDir,
 		Processors:  cfg.Processors,
 		Limits:      cfg.Limits,
-		TenantOf:    tenantOf,
+		TenantOf:    cfg.TenantOf,
 		QoSLog:      cfg.QoSLog,
 	})
 	if err != nil {

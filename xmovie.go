@@ -54,9 +54,6 @@ type (
 	Movie = moviedb.Movie
 	// Store is a movie repository.
 	Store = moviedb.Store
-	// Backend selects a store implementation for servers that build their
-	// own (ServerConfig.Backend).
-	Backend = moviedb.Backend
 	// Recorder is an open live-append session on a movie (Store.Record):
 	// while one is open the movie is live — plays follow its growing tail
 	// and Delete refuses with moviedb.ErrLive. Close seals the movie.
@@ -121,15 +118,6 @@ const (
 	// StackHandcoded runs MCAM directly over the hand-coded
 	// ISODE-equivalent library (the paper's second stack).
 	StackHandcoded = core.StackHandcoded
-)
-
-// Store backends for ServerConfig.
-const (
-	// BackendMemory keeps movies in RAM (fast, volatile).
-	BackendMemory = moviedb.BackendMemory
-	// BackendDisk persists movies as per-movie segment files under
-	// ServerConfig.DataDir, streamed back through a bounded chunk cache.
-	BackendDisk = moviedb.BackendDisk
 )
 
 // NewMemStore returns an empty in-memory movie store.

@@ -245,7 +245,7 @@ func TestFacadeLazyStreamingTotals(t *testing.T) {
 }
 
 // TestFacadeDiskBackendDurability drives the public durable-storage API:
-// a server built with BackendDisk records a movie, shuts down, and a new
+// a server built with a DataDir records a movie, shuts down, and a new
 // server over the same directory still serves it; OpenDiskStore reads the
 // same data directly.
 func TestFacadeDiskBackendDurability(t *testing.T) {
@@ -259,7 +259,6 @@ func TestFacadeDiskBackendDurability(t *testing.T) {
 		srv, err := xmovie.ListenAndServe(xmovie.ServerConfig{
 			Stack:   xmovie.StackHandcoded,
 			Env:     env,
-			Backend: xmovie.BackendDisk,
 			DataDir: dir,
 		})
 		if err != nil {
