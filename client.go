@@ -1,196 +1,19 @@
 package xmovie
 
-import (
-	"fmt"
-	"time"
-
-	"xmovie/internal/core"
-)
+import "xmovie/internal/core"
 
 // ClientConfig configures Dial.
-type ClientConfig struct {
-	// Stack selects the control stack (default StackGenerated).
-	Stack StackKind
-	// CallTimeout bounds association setup and each Call on both stacks
-	// (default 30s): a dead or wedged server returns ErrTimeout instead of
-	// hanging the client forever.
-	CallTimeout time.Duration
-}
+type ClientConfig = core.ClientConfig
 
 // Client is an MCAM client entity: the application interface of the paper's
-// §4.1, wrapped in one method per MCAM service element.
-type Client struct {
-	inner *core.Client
-}
+// §4.1, one method per MCAM service element.
+type Client = core.Client
 
 // Dial connects to an MCAM server's control plane.
-func Dial(addr string, cfg ClientConfig) (*Client, error) {
-	inner, err := core.Dial(addr, core.ClientConfig{Stack: cfg.Stack, CallTimeout: cfg.CallTimeout})
-	if err != nil {
-		return nil, err
-	}
-	return &Client{inner: inner}, nil
-}
+func Dial(addr string, cfg ClientConfig) (*Client, error) { return core.Dial(addr, cfg) }
 
 // NewClientConn builds a client over an existing transport connection (e.g.
 // one end of a Pipe served by Server.ServeConn).
 func NewClientConn(conn Conn, cfg ClientConfig) (*Client, error) {
-	inner, err := core.NewClientConn(conn, core.ClientConfig{Stack: cfg.Stack, CallTimeout: cfg.CallTimeout})
-	if err != nil {
-		return nil, err
-	}
-	return &Client{inner: inner}, nil
-}
-
-// Close releases the association.
-func (c *Client) Close() error { return c.inner.Close() }
-
-// Call performs a raw MCAM operation.
-func (c *Client) Call(req *Request) (*Response, error) { return c.inner.Call(req) }
-
-// do runs a request and folds protocol-level failures into errors.
-func (c *Client) do(req *Request) (*Response, error) {
-	resp, err := c.inner.Call(req)
-	if err != nil {
-		return nil, err
-	}
-	if !resp.OK() {
-		return resp, fmt.Errorf("xmovie: %s: %s (%s)", req.Op, resp.Status, resp.Diagnostic)
-	}
-	return resp, nil
-}
-
-// List returns the server's movie names.
-func (c *Client) List() ([]string, error) {
-	resp, err := c.do(&Request{Op: OpListMovies})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Movies, nil
-}
-
-// Create registers a new (empty) movie with attributes.
-func (c *Client) Create(name string, frameRate int, attrs map[string]string) error {
-	req := &Request{Op: OpCreate, Movie: name, FrameRate: int64(frameRate)}
-	for k, v := range attrs {
-		req.Attrs = append(req.Attrs, Attr{Name: k, Value: v})
-	}
-	_, err := c.do(req)
-	return err
-}
-
-// Delete removes a movie.
-func (c *Client) Delete(name string) error {
-	_, err := c.do(&Request{Op: OpDelete, Movie: name})
-	return err
-}
-
-// Select opens a movie for subsequent control operations and returns its
-// frame count and frame rate.
-func (c *Client) Select(name string) (length int64, frameRate int64, err error) {
-	resp, err := c.do(&Request{Op: OpSelect, Movie: name})
-	if err != nil {
-		return 0, 0, err
-	}
-	return resp.Length, resp.FrameRate, nil
-}
-
-// Query returns a movie's attributes (the selected movie when name is "").
-func (c *Client) Query(name string) (map[string]string, error) {
-	resp, err := c.do(&Request{Op: OpQueryAttributes, Movie: name})
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string]string, len(resp.Attrs))
-	for _, a := range resp.Attrs {
-		out[a.Name] = a.Value
-	}
-	return out, nil
-}
-
-// Modify updates attributes (empty value deletes a key).
-func (c *Client) Modify(name string, attrs map[string]string) error {
-	req := &Request{Op: OpModifyAttributes, Movie: name}
-	for k, v := range attrs {
-		req.Attrs = append(req.Attrs, Attr{Name: k, Value: v})
-	}
-	_, err := c.do(req)
-	return err
-}
-
-// Play starts streaming the movie to streamAddr (a SimNet name or UDP
-// address the server's dialer understands) and returns the stream id.
-func (c *Client) Play(name, streamAddr string) (streamID int64, err error) {
-	resp, err := c.do(&Request{Op: OpPlay, Movie: name, StreamAddr: streamAddr})
-	if err != nil {
-		return 0, err
-	}
-	return resp.StreamID, nil
-}
-
-// PlayFrom starts streaming from a frame position with an optional frame
-// count (0 = to the end).
-func (c *Client) PlayFrom(name, streamAddr string, position, count int64) (int64, error) {
-	resp, err := c.do(&Request{Op: OpPlay, Movie: name, StreamAddr: streamAddr,
-		Position: position, Count: count})
-	if err != nil {
-		return 0, err
-	}
-	return resp.StreamID, nil
-}
-
-// Record captures count frames from the named equipment device into the
-// movie and returns the new length.
-func (c *Client) Record(movie, device string, count int64) (int64, error) {
-	resp, err := c.do(&Request{Op: OpRecord, Movie: movie, Device: device, Count: count})
-	if err != nil {
-		return 0, err
-	}
-	return resp.Length, nil
-}
-
-// Pause suspends a stream.
-func (c *Client) Pause(streamID int64) error {
-	_, err := c.do(&Request{Op: OpPause, StreamID: streamID})
-	return err
-}
-
-// Resume continues a paused stream.
-func (c *Client) Resume(streamID int64) error {
-	_, err := c.do(&Request{Op: OpResume, StreamID: streamID})
-	return err
-}
-
-// Stop cancels a stream and returns the position reached.
-func (c *Client) Stop(streamID int64) (int64, error) {
-	resp, err := c.do(&Request{Op: OpStop, StreamID: streamID})
-	if err != nil {
-		return 0, err
-	}
-	return resp.Position, nil
-}
-
-// SeekTo repositions the active stream streamID to position — live, without
-// restarting the transmission; the receiver resynchronizes on the MTP sync
-// flag. With streamID 0 (or a finished stream) it validates the position
-// against the selected movie for a later PlayFrom.
-func (c *Client) SeekTo(streamID, position int64) (int64, error) {
-	resp, err := c.do(&Request{Op: OpSeek, StreamID: streamID, Position: position})
-	if err != nil {
-		return 0, err
-	}
-	return resp.Position, nil
-}
-
-// AwaitEvent blocks for the next stream event on either stack, bounded by
-// timeout (ErrTimeout). A closed or severed association returns ErrClosed
-// immediately instead of burning the timeout.
-func (c *Client) AwaitEvent(timeout time.Duration) (Event, error) {
-	if app := c.inner.App(); app != nil {
-		return app.AwaitEvent(timeout)
-	}
-	if iso := c.inner.Iso(); iso != nil {
-		return iso.AwaitEventTimeout(timeout)
-	}
-	return Event{}, fmt.Errorf("xmovie: no event source")
+	return core.NewClientConn(conn, cfg)
 }

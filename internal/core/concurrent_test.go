@@ -12,13 +12,14 @@ import (
 	"xmovie/internal/moviedb"
 	"xmovie/internal/mtp"
 	"xmovie/internal/netsim"
+	"xmovie/internal/spa"
 	"xmovie/internal/transport"
 )
 
 // loadEnv builds a server environment shaped like the load harness's: a
 // sharded movie store with one long movie to play, a striped directory the
 // server mirrors attributes into, and a SimNet for stream targets.
-func loadEnv(t *testing.T) (*mcam.ServerEnv, *mcam.SimNet) {
+func loadEnv(t *testing.T) (*mcam.ServerEnv, *spa.SimNet) {
 	t.Helper()
 	store := moviedb.NewShardedStore(0)
 	// 500 frames at 25 fps = 20s: long enough that Stop always beats
@@ -28,7 +29,7 @@ func loadEnv(t *testing.T) (*mcam.ServerEnv, *mcam.SimNet) {
 	})); err != nil {
 		t.Fatal(err)
 	}
-	sim := mcam.NewSimNet()
+	sim := spa.NewSimNet()
 	t.Cleanup(sim.Close)
 	base := directory.MustParseDN("c=DE/o=xmovie")
 	return &mcam.ServerEnv{
@@ -88,7 +89,7 @@ func TestConcurrentSessions(t *testing.T) {
 // runScenario is one session: dial, wait at the open barrier until every
 // session has dialed, browse the catalogue, order (create/select/modify) a
 // movie of its own, play the feature with pause/resume, stop, and release.
-func runScenario(srv *Server, sim *mcam.SimNet, stack StackKind, i int, open *sync.WaitGroup) error {
+func runScenario(srv *Server, sim *spa.SimNet, stack StackKind, i int, open *sync.WaitGroup) error {
 	arrived := false
 	arrive := func() {
 		if !arrived {

@@ -141,6 +141,13 @@ type Server struct {
 // listens for TPKT connections; with an empty Addr the server is in-memory
 // only and sessions are fed through ServeConn (tests and the load harness).
 func NewServer(cfg ServerConfig) (*Server, error) {
+	return newServer(cfg, defaultTeardownGrace)
+}
+
+// newServer is NewServer with the teardown grace: how long a dead
+// connection's entity may take to run its own release path before its
+// streams are torn down forcibly.
+func newServer(cfg ServerConfig, grace time.Duration) (*Server, error) {
 	if cfg.Env == nil {
 		// A nil Env is an empty one the server owns (browse/order-only
 		// deployments); the store and totals are filled in below.
@@ -181,14 +188,11 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	}
 	s := &Server{
 		cfg:        cfg,
-		grace:      defaultTeardownGrace,
+		grace:      grace,
 		sessions:   make(map[int64]*srvSession),
 		ownedStore: ownedStore,
 		cache:      ownedCache,
 		registry:   obsv.NewRegistry(),
-	}
-	if cfg.TeardownGrace > 0 {
-		s.grace = cfg.TeardownGrace
 	}
 	s.ctl = qos.NewController(cfg.Limits.QoS, s.qosEvent)
 	s.registry.Register(s.collectMetrics)

@@ -19,7 +19,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"time"
@@ -151,159 +150,41 @@ type Limits struct {
 
 // ServerConfig configures a Server.
 type ServerConfig struct {
-	// Addr is the TPKT listen address, e.g. "127.0.0.1:0". Empty means no
-	// listener: an in-memory server fed through ServeConn.
+	// Addr is the control-plane listen address (TPKT over TCP), e.g.
+	// "127.0.0.1:0". Empty means no listener: an in-memory server fed
+	// through Server.ServeConn (tests, embedded deployments, the load
+	// harness).
 	Addr string
-	// MetricsAddr, when non-empty, serves the observability registry as a
-	// Prometheus-text /metrics HTTP endpoint on this address (e.g.
-	// "127.0.0.1:0"; Server.MetricsAddr returns the bound address).
+	// MetricsAddr, when non-empty, serves the Observation as Prometheus
+	// text on http://<MetricsAddr>/metrics (e.g. "127.0.0.1:0";
+	// Server.MetricsAddr returns the bound address).
 	MetricsAddr string
-	// Stack selects generated or hand-coded control plane (default
-	// generated).
+	// Stack selects the control stack (default StackGenerated).
 	Stack StackKind
-	// Env provides store, streams, directory and equipment. A nil Env is
-	// legal: the server builds an empty one (reachable via Server.Env).
-	// When Env.Store is nil the server constructs one from DataDir and
-	// owns it (closing it on shutdown); the built store is published back
-	// into Env.Store so callers can seed it.
+	// Env provides the movie store, stream dialer, directory and
+	// equipment. A nil Env is equivalent to a zero one (reachable via
+	// Server.Env). When Env.Store is nil the server builds one from
+	// DataDir, owns it (closed on shutdown) and publishes it back into
+	// Env.Store so the caller can seed the catalogue.
 	Env *mcam.ServerEnv
 	// DataDir, when non-empty, roots the durable sharded segment store
-	// built for a nil Env.Store; empty builds striped in-memory stores.
+	// built for a nil Env.Store (per-movie segment files streamed back
+	// through a bounded chunk cache); empty builds striped in-memory
+	// stores.
 	DataDir string
 	// Processors limits the generated stack to P virtual processors
-	// (0 = unlimited).
+	// (0 = unlimited), modelling the paper's multiprocessor sizing.
 	Processors int
 	// Limits bounds admission and per-session resources, including the
 	// per-tenant QoS policy.
 	Limits Limits
-	// TenantOf classifies accepted connections into QoS tenants (nil = the
-	// anonymous tenant ""). In-memory callers bypass it with ServeConnFor.
+	// TenantOf classifies an accepted listener connection into a tenant
+	// name for Limits.QoS (nil = every connection is the anonymous tenant
+	// ""). Sessions fed in memory use ServeConnFor instead.
 	TenantOf func(transport.Conn) string
 	// QoSLog, when non-nil, receives one JSON line per QoS decision
 	// (admission, quota/full rejection, preemption) — the structured event
-	// log. Writes happen synchronously from the admission path; hand it
-	// something fast.
+	// log. Writes happen synchronously from the admission path; wrap slow
+	// sinks in a buffered writer.
 	QoSLog io.Writer
-	// TeardownGrace overrides how long a dead connection's entity may take
-	// to run its own release path before streams are torn down forcibly
-	// (0 = 5s). Mainly for tests.
-	TeardownGrace time.Duration
-}
-
-// ErrBadStack reports an unsupported stack kind.
-var ErrBadStack = errors.New("core: unsupported stack kind")
-
-// Client is an MCAM client entity over either stack.
-type Client struct {
-	stack StackKind
-
-	// Generated-stack state.
-	rt    *estelle.Runtime
-	sched *estelle.Scheduler
-	app   *mcam.AppClient
-
-	// Hand-coded-stack state.
-	iso *mcam.IsodeClient
-
-	conn        transport.Conn
-	callTimeout time.Duration
-}
-
-// ClientConfig configures Dial.
-type ClientConfig struct {
-	// Stack selects the control stack (default generated).
-	Stack StackKind
-	// CalledSelector names the server entity (default "mcam-server").
-	CalledSelector string
-	// CallTimeout bounds Dial's association setup and each Call
-	// (default 30s).
-	CallTimeout time.Duration
-}
-
-// Dial connects to an MCAM server at the TPKT address addr.
-func Dial(addr string, cfg ClientConfig) (*Client, error) {
-	conn, err := transport.Dial(addr)
-	if err != nil {
-		return nil, err
-	}
-	return NewClientConn(conn, cfg)
-}
-
-// NewClientConn builds a client entity over an existing transport
-// connection (tests and in-process examples use pipes).
-func NewClientConn(conn transport.Conn, cfg ClientConfig) (*Client, error) {
-	if cfg.Stack == 0 {
-		cfg.Stack = StackGenerated
-	}
-	if cfg.CalledSelector == "" {
-		cfg.CalledSelector = "mcam-server"
-	}
-	dialTimeout := defaultDialTimeout
-	callTimeout := defaultCallTimeout
-	if cfg.CallTimeout > 0 {
-		dialTimeout = cfg.CallTimeout
-		callTimeout = cfg.CallTimeout
-	}
-	c := &Client{stack: cfg.Stack, conn: conn, callTimeout: callTimeout}
-	switch cfg.Stack {
-	case StackHandcoded:
-		iso, err := mcam.DialIsodeTimeout(conn, cfg.CalledSelector, callTimeout)
-		if err != nil {
-			conn.Close()
-			return nil, err
-		}
-		c.iso = iso
-	case StackGenerated:
-		c.rt = estelle.NewRuntime()
-		entity, err := c.rt.AddSystem(ClientEntityDef(conn), "client")
-		if err != nil {
-			conn.Close()
-			return nil, err
-		}
-		c.app = mcam.NewAppClient(entity.IP("U"))
-		c.sched = estelle.NewScheduler(c.rt, estelle.MapPerGroupRoot)
-		if err := c.sched.Start(); err != nil {
-			conn.Close()
-			return nil, err
-		}
-		if err := c.app.Connect(cfg.CalledSelector, dialTimeout); err != nil {
-			c.sched.Stop()
-			conn.Close()
-			return nil, err
-		}
-	default:
-		conn.Close()
-		return nil, ErrBadStack
-	}
-	return c, nil
-}
-
-// App returns the generated-stack application interface (nil when
-// hand-coded).
-func (c *Client) App() *mcam.AppClient { return c.app }
-
-// Iso returns the hand-coded client (nil when generated).
-func (c *Client) Iso() *mcam.IsodeClient { return c.iso }
-
-// Call performs one MCAM operation over whichever stack is active.
-func (c *Client) Call(req *mcam.Request) (*mcam.Response, error) {
-	if c.iso != nil {
-		return c.iso.Call(req)
-	}
-	return c.app.Call(req, c.callTimeout)
-}
-
-// Close releases the association and tears the entity down. Afterwards any
-// waiter still blocked in Call or AwaitEvent fails fast with ErrClosed.
-func (c *Client) Close() error {
-	var err error
-	if c.iso != nil {
-		err = c.iso.Close()
-	} else {
-		err = c.app.Release(c.callTimeout)
-		c.sched.Stop()
-		c.app.MarkClosed()
-	}
-	_ = c.conn.Close()
-	return err
 }

@@ -10,13 +10,14 @@ import (
 	"xmovie/internal/moviedb"
 	"xmovie/internal/mtp"
 	"xmovie/internal/netsim"
+	"xmovie/internal/spa"
 )
 
-func testEnv(t *testing.T) (*mcam.ServerEnv, *mcam.SimNet) {
+func testEnv(t *testing.T) (*mcam.ServerEnv, *spa.SimNet) {
 	t.Helper()
 	store := moviedb.NewMemStore()
 	moviedb.MustSeed(store, "film", 4, 30)
-	sim := mcam.NewSimNet()
+	sim := spa.NewSimNet()
 	t.Cleanup(sim.Close)
 	eca := equipment.NewECA("site")
 	if err := eca.Register(equipment.NewCamera("cam", 256)); err != nil {

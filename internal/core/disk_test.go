@@ -10,12 +10,13 @@ import (
 	"xmovie/internal/moviedb"
 	"xmovie/internal/mtp"
 	"xmovie/internal/netsim"
+	"xmovie/internal/spa"
 	"xmovie/internal/transport"
 )
 
 // diskServer starts a disk-backed in-memory server over dir and returns it
 // with a connected client.
-func diskServer(t *testing.T, dir string, sim *mcam.SimNet, eua *equipment.EUA) (*Server, *Client) {
+func diskServer(t *testing.T, dir string, sim *spa.SimNet, eua *equipment.EUA) (*Server, *Client) {
 	t.Helper()
 	env := &mcam.ServerEnv{Dialer: sim, EUA: eua}
 	srv, err := NewServer(ServerConfig{
@@ -40,7 +41,7 @@ func diskServer(t *testing.T, dir string, sim *mcam.SimNet, eua *equipment.EUA) 
 }
 
 // receive collects a whole stream's frame payloads from a SimNet endpoint.
-func receive(t *testing.T, sim *mcam.SimNet, addr string) (chan [][]byte, string) {
+func receive(t *testing.T, sim *spa.SimNet, addr string) (chan [][]byte, string) {
 	t.Helper()
 	end, err := sim.Listen(addr, netsim.Config{})
 	if err != nil {
@@ -63,7 +64,7 @@ func receive(t *testing.T, sim *mcam.SimNet, addr string) (chan [][]byte, string
 // through the streaming pipeline from the reopened store.
 func TestDiskBackendRecordSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
-	sim := mcam.NewSimNet()
+	sim := spa.NewSimNet()
 	defer sim.Close()
 	eca := equipment.NewECA("studio")
 	if err := eca.Register(equipment.NewCamera("cam1", 512)); err != nil {
@@ -165,7 +166,7 @@ func TestDiskBackendRecordSurvivesRestart(t *testing.T) {
 // source level in moviedb's TestDiskSourceMemoryBound.)
 func TestDiskBackendColdStreamThroughServer(t *testing.T) {
 	dir := t.TempDir()
-	sim := mcam.NewSimNet()
+	sim := spa.NewSimNet()
 	defer sim.Close()
 
 	{

@@ -17,6 +17,7 @@ import (
 	"xmovie/internal/netsim"
 	"xmovie/internal/obsv"
 	"xmovie/internal/qos"
+	"xmovie/internal/spa"
 	"xmovie/internal/transport"
 )
 
@@ -173,7 +174,7 @@ func TestTenantBandwidthCap(t *testing.T) {
 			})); err != nil {
 				t.Fatal(err)
 			}
-			sim := mcam.NewSimNet()
+			sim := spa.NewSimNet()
 			t.Cleanup(sim.Close)
 			srv, err := NewServer(ServerConfig{
 				Addr: "127.0.0.1:0", Stack: stack,
@@ -272,7 +273,7 @@ func TestTenantIsolation(t *testing.T) {
 			if err := store.Create(m); err != nil {
 				t.Fatal(err)
 			}
-			sim := mcam.NewSimNet()
+			sim := spa.NewSimNet()
 			t.Cleanup(sim.Close)
 			policy := qos.Policy{Tenants: map[string]qos.Class{}}
 			for name, bps := range caps {

@@ -8,6 +8,7 @@ import (
 	"xmovie/internal/moviedb"
 	"xmovie/internal/mtp"
 	"xmovie/internal/netsim"
+	"xmovie/internal/spa"
 	"xmovie/internal/transport"
 )
 
@@ -21,7 +22,7 @@ func TestServerAggregatesStreamTotals(t *testing.T) {
 	})); err != nil {
 		t.Fatal(err)
 	}
-	sim := mcam.NewSimNet()
+	sim := spa.NewSimNet()
 	defer sim.Close()
 	env := &mcam.ServerEnv{Store: store, Dialer: sim}
 	srv, err := NewServer(ServerConfig{Stack: StackHandcoded, Env: env})

@@ -65,7 +65,7 @@ func TestIdleTCPAssociationGoroutines(t *testing.T) {
 // goroutine count returns to where it started with no reader left.
 func idleAssociations(t *testing.T, stack StackKind, addr string, perAssoc, readers int) {
 	env, _ := loadEnv(t)
-	srv, err := NewServer(ServerConfig{Addr: addr, Stack: stack, Env: env, TeardownGrace: 2 * time.Second})
+	srv, err := newServer(ServerConfig{Addr: addr, Stack: stack, Env: env}, 2*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestReaperGraceAndShortCircuit(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			env, _ := loadEnv(t)
-			srv, err := NewServer(ServerConfig{Env: env, TeardownGrace: grace})
+			srv, err := newServer(ServerConfig{Env: env}, grace)
 			if err != nil {
 				t.Fatal(err)
 			}

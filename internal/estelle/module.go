@@ -187,6 +187,16 @@ func MustCompile(d *ModuleDef) *ModuleDef {
 	return d
 }
 
+// AsSystem returns a copy of def with the SystemProcess attribute, so a
+// module written to run inside an entity can be added to a runtime on its
+// own (tests that drive one protocol machine alone). def is left as it is,
+// so a shared, compiled def may be passed.
+func AsSystem(def *ModuleDef) *ModuleDef {
+	sys := *def
+	sys.Attr = SystemProcess
+	return &sys
+}
+
 func (d *ModuleDef) compile() (*compiledDef, error) {
 	if d.compiled != nil {
 		return d.compiled, nil

@@ -17,6 +17,7 @@ import (
 	"xmovie/internal/moviedb"
 	"xmovie/internal/mtp"
 	"xmovie/internal/netsim"
+	"xmovie/internal/spa"
 )
 
 // specPath locates the specs directory relative to this source file so the
@@ -128,7 +129,7 @@ func Figure1() (*Result, error) {
 		return nil, err
 	}
 	eua := equipment.NewEUA(eca, "f1")
-	sim := mcam.NewSimNet()
+	sim := spa.NewSimNet()
 	defer sim.Close()
 	env := &mcam.ServerEnv{
 		Store: store, Dialer: sim,
@@ -177,7 +178,7 @@ func Figure2() (*Result, error) {
 	}
 	store := moviedb.NewMemStore()
 	moviedb.MustSeed(store, "fig2", 3, 60)
-	sim := mcam.NewSimNet()
+	sim := spa.NewSimNet()
 	defer sim.Close()
 	env := &mcam.ServerEnv{Store: store, Dialer: sim}
 	srv, err := core.NewServer(core.ServerConfig{Addr: "127.0.0.1:0", Env: env})

@@ -136,15 +136,15 @@ func TestConformanceIsodeClientToEstelleServer(t *testing.T) {
 
 	// Estelle side: presentation over session over the real pipe.
 	rt := estelle.NewRuntime(estelle.WithStrict())
-	pres, err := rt.AddSystem(presentation.SystemDef(), "pres")
+	pres, err := rt.AddSystem(estelle.AsSystem(presentation.ProtocolMachineDef()), "pres")
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess, err := rt.AddSystem(session.SystemDef(), "sess")
+	sess, err := rt.AddSystem(estelle.AsSystem(session.ProtocolMachineDef()), "sess")
 	if err != nil {
 		t.Fatal(err)
 	}
-	prov, err := rt.AddSystem(transport.SystemConnProviderDef(cb, true), "prov")
+	prov, err := rt.AddSystem(estelle.AsSystem(transport.ConnProviderDef(cb, true, nil)), "prov")
 	if err != nil {
 		t.Fatal(err)
 	}

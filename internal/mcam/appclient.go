@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"xmovie/internal/estelle"
@@ -33,6 +34,11 @@ type AppClient struct {
 	// timer bounds Call's wait for its response (guarded by mu): one per
 	// client, Reset per call and stopped when the call returns.
 	timer *time.Timer
+	// pending is the invoke id of the call waiting for its response (0 =
+	// none). dispatch claims it by swapping it to 0, so an answer that
+	// arrives after its call gave up is dropped instead of being taken by
+	// the next call or crowding that call's own answer out of respCh.
+	pending atomic.Int64
 }
 
 type conResult struct {
@@ -64,11 +70,12 @@ func (c *AppClient) dispatch(in *estelle.Interaction) {
 		default:
 		}
 	case "AResponse":
-		if resp, ok := in.Arg(0).(*Response); ok {
-			select {
-			case c.respCh <- resp:
-			default:
-			}
+		resp, ok := in.Arg(0).(*Response)
+		if ok && resp.InvokeID != 0 && c.pending.CompareAndSwap(resp.InvokeID, 0) {
+			// Only the waiting call's answer is claimed (id 0 answers no
+			// call), and respCh is then empty: each claimed answer is
+			// received by its call before the next call starts.
+			c.respCh <- resp
 		}
 	case "AEvent":
 		if ev, ok := in.Arg(0).(*Event); ok {
@@ -118,18 +125,23 @@ func (c *AppClient) Call(req *Request, timeout time.Duration) (*Response, error)
 		c.timer.Reset(timeout)
 	}
 	defer c.timer.Stop()
+	c.pending.Store(req.InvokeID)
 	c.ip.Inject("ARequest", req)
+	var err error
 	select {
 	case resp := <-c.respCh:
-		if resp.InvokeID != req.InvokeID {
-			return nil, fmt.Errorf("mcam: response for invoke %d, want %d", resp.InvokeID, req.InvokeID)
-		}
 		return resp, nil
 	case <-c.aborted:
-		return nil, ErrClosed
+		err = ErrClosed
 	case <-c.timer.C:
-		return nil, fmt.Errorf("%w: %s", ErrTimeout, req.Op)
+		err = fmt.Errorf("%w: %s", ErrTimeout, req.Op)
 	}
+	if !c.pending.CompareAndSwap(req.InvokeID, 0) {
+		// dispatch claimed the answer as the wait ended: take it here,
+		// so no later call can.
+		<-c.respCh
+	}
+	return nil, err
 }
 
 // Release performs an orderly release of the association.

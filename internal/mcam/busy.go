@@ -1,11 +1,9 @@
 package mcam
 
 import (
-	"errors"
 	"time"
 
 	"xmovie/internal/isode"
-	"xmovie/internal/presentation"
 	"xmovie/internal/transport"
 )
 
@@ -14,8 +12,10 @@ import (
 // see as a raw transport failure), the server accepts the association and
 // answers every request with StatusBusy carrying retryAfter as the
 // RetryAfterMs hint, so clients can back off deliberately rather than
-// retry blind. Both control stacks speak the same wire protocol, so the
-// one hand-coded responder serves clients of either.
+// retry blind. It shares ServeIsode's serving loop, answering StatusBusy
+// where ServeIsode executes the request; a PDU that is no request gets
+// StatusProtocolError from both. Both control stacks speak the same wire
+// protocol, so the one hand-coded responder serves clients of either.
 //
 // The responder's whole lifetime is bounded — it exists to shed load, not
 // to hold a session slot in disguise: after roughly retryAfter plus a
@@ -27,40 +27,17 @@ func ServeBusy(conn transport.Conn, retryAfter time.Duration) error {
 	dc := transport.NewDeadlineConn(conn)
 	defer dc.Close()
 	dc.SetRecvDeadline(time.Now().Add(retryAfter + 2*time.Second))
-	prov, _, err := isode.Accept(dc, func(*presentation.CP) isode.AcceptDecision {
-		return isode.AcceptDecision{Accept: true}
-	})
+	prov, _, err := isode.Accept(dc, acceptAll)
 	if err != nil {
 		return err
 	}
-	var encBuf []byte
-	for {
-		ctxID, data, err := prov.RecvData()
-		switch {
-		case errors.Is(err, isode.ErrReleased):
-			return prov.AcceptRelease()
-		case err != nil:
-			return err
-		}
-		if ctxID != ContextID {
-			continue
-		}
-		pdu, err := Decode(data)
-		if err != nil || pdu.Request == nil {
-			continue
-		}
-		resp := &Response{
-			InvokeID:     pdu.Request.InvokeID,
-			Op:           pdu.Request.Op,
+	return serveRequests(prov, func(req *Request) *Response {
+		return &Response{
+			InvokeID:     req.InvokeID,
+			Op:           req.Op,
 			Status:       StatusBusy,
 			Diagnostic:   "server at session capacity",
 			RetryAfterMs: retryAfter.Milliseconds(),
 		}
-		if encBuf, err = (&PDU{Response: resp}).Append(encBuf[:0]); err != nil {
-			continue
-		}
-		if err := prov.Data(ContextID, encBuf); err != nil {
-			return err
-		}
-	}
+	})
 }

@@ -178,10 +178,3 @@ var clientModule = estelle.MustCompile(&estelle.ModuleDef{
 		},
 	},
 })
-
-// SystemClientDef wraps the client MCA as a standalone system module.
-func SystemClientDef() *estelle.ModuleDef {
-	def := *clientModule
-	def.Attr = estelle.SystemProcess
-	return &def
-}

@@ -19,7 +19,7 @@ import (
 type ServerEnv struct {
 	Store moviedb.Store
 	// Dialer opens MTP paths for Play; nil disables streaming.
-	Dialer StreamDialer
+	Dialer spa.StreamDialer
 	// DUA, when non-nil, mirrors movie attributes into the directory under
 	// DirBase.
 	DUA     *directory.DUA

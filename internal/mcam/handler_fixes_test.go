@@ -10,6 +10,7 @@ import (
 	"xmovie/internal/moviedb"
 	"xmovie/internal/mtp"
 	"xmovie/internal/netsim"
+	"xmovie/internal/spa"
 )
 
 // Regression tests for MCAM protocol semantics, each run over both
@@ -26,7 +27,7 @@ import (
 
 // bothStacks runs fn once against a hand-coded pair and once against a
 // full Estelle-generated stack over the same environment builder.
-func bothStacks(t *testing.T, makeEnv func(t *testing.T) (*ServerEnv, *SimNet), fn func(t *testing.T, c caller, env *ServerEnv, sim *SimNet, prefix string)) {
+func bothStacks(t *testing.T, makeEnv func(t *testing.T) (*ServerEnv, *spa.SimNet), fn func(t *testing.T, c caller, env *ServerEnv, sim *spa.SimNet, prefix string)) {
 	t.Run("isode", func(t *testing.T) {
 		env, sim := makeEnv(t)
 		client := runIsodePair(t, env)
@@ -43,7 +44,7 @@ func bothStacks(t *testing.T, makeEnv func(t *testing.T) (*ServerEnv, *SimNet), 
 }
 
 func TestDeselectWithoutSelection(t *testing.T) {
-	bothStacks(t, newTestEnv, func(t *testing.T, c caller, _ *ServerEnv, _ *SimNet, _ string) {
+	bothStacks(t, newTestEnv, func(t *testing.T, c caller, _ *ServerEnv, _ *spa.SimNet, _ string) {
 		resp, err := c.call(&Request{Op: OpDeselect})
 		if err != nil {
 			t.Fatal(err)
@@ -66,7 +67,7 @@ func TestDeselectWithoutSelection(t *testing.T) {
 
 // lazyRecordEnv is newTestEnv plus a lazily synthesized movie — the shape
 // of the load harness catalogue that OpRecord used to fail on.
-func lazyRecordEnv(t *testing.T) (*ServerEnv, *SimNet) {
+func lazyRecordEnv(t *testing.T) (*ServerEnv, *spa.SimNet) {
 	env, sim := newTestEnv(t)
 	if err := env.Store.Create(moviedb.SynthesizeLazy(moviedb.SynthConfig{
 		Name: "lazy-take", Frames: 20, FrameSize: 16,
@@ -77,7 +78,7 @@ func lazyRecordEnv(t *testing.T) (*ServerEnv, *SimNet) {
 }
 
 func TestRecordOntoLazyMovie(t *testing.T) {
-	bothStacks(t, lazyRecordEnv, func(t *testing.T, c caller, env *ServerEnv, _ *SimNet, _ string) {
+	bothStacks(t, lazyRecordEnv, func(t *testing.T, c caller, env *ServerEnv, _ *spa.SimNet, _ string) {
 		resp, err := c.call(&Request{Op: OpRecord, Movie: "lazy-take", Device: "cam1", Count: 5})
 		if err != nil {
 			t.Fatal(err)
@@ -154,7 +155,7 @@ func TestRecordOntoOpaqueContent(t *testing.T) {
 
 // slowPlayEnv holds one long, slow movie so control operations land
 // mid-stream deterministically.
-func slowPlayEnv(t *testing.T) (*ServerEnv, *SimNet) {
+func slowPlayEnv(t *testing.T) (*ServerEnv, *spa.SimNet) {
 	env, sim := newTestEnv(t)
 	store := moviedb.NewMemStore()
 	long := moviedb.Synthesize(moviedb.SynthConfig{Name: "long", Frames: 10000, FrameRate: 50, FrameSize: 64})
@@ -170,7 +171,7 @@ func TestDeleteWhileStreamingKeepsStreamAlive(t *testing.T) {
 	// immediately, while the running stream keeps its open source and is
 	// undisturbed. (Only a live broadcast — an open recording session —
 	// refuses deletion; see live_test.go.)
-	bothStacks(t, slowPlayEnv, func(t *testing.T, c caller, env *ServerEnv, sim *SimNet, prefix string) {
+	bothStacks(t, slowPlayEnv, func(t *testing.T, c caller, env *ServerEnv, sim *spa.SimNet, prefix string) {
 		addr := fmt.Sprintf("del-%s/video", prefix)
 		end, err := sim.Listen(addr, netsim.Config{})
 		if err != nil {

@@ -199,9 +199,7 @@ func ServeIsode(conn transport.Conn, env *ServerEnv) error {
 // throttle and books their outcomes into the tenant's counters. The
 // connection manager resolves the binding at admission.
 func ServeIsodeQoS(conn transport.Conn, env *ServerEnv, qos *SessionQoS) error {
-	prov, _, err := isode.Accept(conn, func(*presentation.CP) isode.AcceptDecision {
-		return isode.AcceptDecision{Accept: true}
-	})
+	prov, _, err := isode.Accept(conn, acceptAll)
 	if err != nil {
 		return err
 	}
@@ -220,6 +218,19 @@ func ServeIsodeQoS(conn transport.Conn, env *ServerEnv, qos *SessionQoS) error {
 		}
 	})
 	defer h.close()
+	return serveRequests(prov, h.execute)
+}
+
+// acceptAll accepts every association request.
+func acceptAll(*presentation.CP) isode.AcceptDecision {
+	return isode.AcceptDecision{Accept: true}
+}
+
+// serveRequests is the hand-coded serving loop: it sends answer(req) for
+// every MCAM request on prov until the client releases (accepted here) or
+// the association fails. A PDU that does not decode to a request is
+// answered with StatusProtocolError.
+func serveRequests(prov *isode.Provider, answer func(*Request) *Response) error {
 	// encBuf is the per-association response encode buffer; Provider.Data
 	// copies it into its own wire buffer before sending.
 	var encBuf []byte
@@ -242,8 +253,7 @@ func ServeIsodeQoS(conn transport.Conn, env *ServerEnv, qos *SessionQoS) error {
 			}
 			continue
 		}
-		resp := h.execute(pdu.Request)
-		encBuf, err = (&PDU{Response: resp}).Append(encBuf[:0])
+		encBuf, err = (&PDU{Response: answer(pdu.Request)}).Append(encBuf[:0])
 		if err != nil {
 			continue
 		}

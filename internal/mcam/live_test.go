@@ -11,6 +11,7 @@ import (
 	"xmovie/internal/moviedb"
 	"xmovie/internal/mtp"
 	"xmovie/internal/netsim"
+	"xmovie/internal/spa"
 )
 
 // Live-broadcast regression tests, each run over both control stacks: a
@@ -22,7 +23,7 @@ import (
 // liveEnv is newTestEnv plus an empty rate-0 movie: viewers of "onair"
 // are unpaced, so tests finish as fast as frames are published. (OpCreate
 // defaults FrameRate to 25, hence the direct store call.)
-func liveEnv(t *testing.T) (*ServerEnv, *SimNet) {
+func liveEnv(t *testing.T) (*ServerEnv, *spa.SimNet) {
 	env, sim := newTestEnv(t)
 	if err := env.Store.Create(&moviedb.Movie{Name: "onair"}); err != nil {
 		t.Fatal(err)
@@ -52,7 +53,7 @@ type liveViewer struct {
 	done   chan struct{}
 }
 
-func watchLive(t *testing.T, sim *SimNet, addr string) *liveViewer {
+func watchLive(t *testing.T, sim *spa.SimNet, addr string) *liveViewer {
 	t.Helper()
 	end, err := sim.Listen(addr, netsim.Config{})
 	if err != nil {
@@ -116,7 +117,7 @@ func groundTruth(t *testing.T, env *ServerEnv, name string) [][]byte {
 }
 
 func TestPlayThroughLiveEdge(t *testing.T) {
-	bothStacks(t, liveEnv, func(t *testing.T, c caller, env *ServerEnv, sim *SimNet, prefix string) {
+	bothStacks(t, liveEnv, func(t *testing.T, c caller, env *ServerEnv, sim *spa.SimNet, prefix string) {
 		const recID = 7
 		if n := recordBatch(t, c, "onair", recID, 3); n != 3 {
 			t.Fatalf("length after first batch = %d", n)
@@ -158,7 +159,7 @@ func TestPlayThroughLiveEdge(t *testing.T) {
 }
 
 func TestLateJoinerByteIdentity(t *testing.T) {
-	bothStacks(t, liveEnv, func(t *testing.T, c caller, env *ServerEnv, sim *SimNet, prefix string) {
+	bothStacks(t, liveEnv, func(t *testing.T, c caller, env *ServerEnv, sim *spa.SimNet, prefix string) {
 		const recID = 11
 		// History first: the joiner must replay these from storage, then
 		// hand off to the live window without a gap or duplicate.
@@ -196,7 +197,7 @@ func TestLateJoinerByteIdentity(t *testing.T) {
 }
 
 func TestDeleteDuringLiveBroadcast(t *testing.T) {
-	bothStacks(t, liveEnv, func(t *testing.T, c caller, _ *ServerEnv, _ *SimNet, _ string) {
+	bothStacks(t, liveEnv, func(t *testing.T, c caller, _ *ServerEnv, _ *spa.SimNet, _ string) {
 		const recID = 9
 		recordBatch(t, c, "onair", recID, 2)
 
@@ -220,7 +221,7 @@ func TestDeleteDuringLiveBroadcast(t *testing.T) {
 // viewers joining in two waves, late joiners byte-identical to the sealed
 // recording. Kept small enough to run under the race detector.
 func TestLiveBroadcastFanOut(t *testing.T) {
-	bothStacks(t, liveEnv, func(t *testing.T, c caller, env *ServerEnv, sim *SimNet, prefix string) {
+	bothStacks(t, liveEnv, func(t *testing.T, c caller, env *ServerEnv, sim *spa.SimNet, prefix string) {
 		const (
 			recID   = 5
 			viewers = 12

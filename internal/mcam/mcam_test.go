@@ -14,16 +14,17 @@ import (
 	"xmovie/internal/netsim"
 	"xmovie/internal/presentation"
 	"xmovie/internal/session"
+	"xmovie/internal/spa"
 	"xmovie/internal/transport"
 )
 
 // newTestEnv builds a server environment with a seeded store, a simulated
 // stream network, a studio site and a movie directory.
-func newTestEnv(t *testing.T) (*ServerEnv, *SimNet) {
+func newTestEnv(t *testing.T) (*ServerEnv, *spa.SimNet) {
 	t.Helper()
 	store := moviedb.NewMemStore()
 	moviedb.MustSeed(store, "movie", 3, 40)
-	sim := NewSimNet()
+	sim := spa.NewSimNet()
 	t.Cleanup(sim.Close)
 
 	eca := equipment.NewECA("studio")
@@ -348,13 +349,13 @@ func buildEstelleStack(t *testing.T, env *ServerEnv) (*AppClient, *estelle.Sched
 		}
 		return inst
 	}
-	clientMCA := mustAdd(SystemClientDef(), "clientMCA")
-	clientPres := mustAdd(presentation.SystemDef(), "clientPres")
-	clientSess := mustAdd(session.SystemDef(), "clientSess")
-	serverMCA := mustAdd(SystemServerDef(env), "serverMCA")
-	serverPres := mustAdd(presentation.SystemDef(), "serverPres")
-	serverSess := mustAdd(session.SystemDef(), "serverSess")
-	pipe := mustAdd(transport.SystemPipeProviderDef(), "pipe")
+	clientMCA := mustAdd(estelle.AsSystem(ClientModuleDef()), "clientMCA")
+	clientPres := mustAdd(estelle.AsSystem(presentation.ProtocolMachineDef()), "clientPres")
+	clientSess := mustAdd(estelle.AsSystem(session.ProtocolMachineDef()), "clientSess")
+	serverMCA := mustAdd(estelle.AsSystem(ServerModuleDef(env, ServerHooks{})), "serverMCA")
+	serverPres := mustAdd(estelle.AsSystem(presentation.ProtocolMachineDef()), "serverPres")
+	serverSess := mustAdd(estelle.AsSystem(session.ProtocolMachineDef()), "serverSess")
+	pipe := mustAdd(estelle.AsSystem(transport.PipeProviderDef()), "pipe")
 	for _, pair := range [][2]*estelle.IP{
 		{clientMCA.IP("P"), clientPres.IP("P")},
 		{clientPres.IP("S"), clientSess.IP("S")},
@@ -450,10 +451,10 @@ func TestEstelleClientAgainstIsodeServer(t *testing.T) {
 		}
 		return inst
 	}
-	clientMCA := mustAdd(SystemClientDef(), "clientMCA")
-	clientPres := mustAdd(presentation.SystemDef(), "clientPres")
-	clientSess := mustAdd(session.SystemDef(), "clientSess")
-	prov := mustAdd(transport.SystemConnProviderDef(ca, false), "prov")
+	clientMCA := mustAdd(estelle.AsSystem(ClientModuleDef()), "clientMCA")
+	clientPres := mustAdd(estelle.AsSystem(presentation.ProtocolMachineDef()), "clientPres")
+	clientSess := mustAdd(estelle.AsSystem(session.ProtocolMachineDef()), "clientSess")
+	prov := mustAdd(estelle.AsSystem(transport.ConnProviderDef(ca, false, nil)), "prov")
 	for _, pair := range [][2]*estelle.IP{
 		{clientMCA.IP("P"), clientPres.IP("P")},
 		{clientPres.IP("S"), clientSess.IP("S")},

@@ -166,10 +166,3 @@ func ServerModuleDef(env *ServerEnv, hooks ServerHooks) *estelle.ModuleDef {
 		},
 	}
 }
-
-// SystemServerDef wraps the server MCA as a standalone system module.
-func SystemServerDef(env *ServerEnv) *estelle.ModuleDef {
-	def := *ServerModuleDef(env, ServerHooks{})
-	def.Attr = estelle.SystemProcess
-	return &def
-}

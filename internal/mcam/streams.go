@@ -6,22 +6,6 @@ import (
 	"xmovie/internal/spa"
 )
 
-// The stream machinery lives in internal/spa — the Stream Provider Agent
-// subsystem that owns concurrent stream lifecycles. These aliases keep the
-// historical mcam names working for callers that wire servers together.
-type (
-	// StreamDialer opens the MTP packet path from the server's SPA to the
-	// address a client put in its Play request.
-	StreamDialer = spa.StreamDialer
-	// UDPDialer dials "host:port" UDP stream addresses.
-	UDPDialer = spa.UDPDialer
-	// SimNet is the in-process simulated stream network.
-	SimNet = spa.SimNet
-)
-
-// NewSimNet returns an empty simulated stream network.
-func NewSimNet() *SimNet { return spa.NewSimNet() }
-
 // convertEvent maps an SPA lifecycle event onto the MCAM Event PDU. Final
 // transmission counters ride in the detail string, so clients see the
 // adaptive path's decisions (frames dropped, late sends) on the control

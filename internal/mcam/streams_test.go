@@ -48,7 +48,7 @@ func (e estelleCaller) awaitEvent() (Event, error)           { return e.app.Awai
 // streamEnv builds an environment holding one 10k-frame lazy movie (chunk
 // window 32 × 256 B) and one congestion-test movie, with adaptive delivery
 // and data-plane totals enabled.
-func streamEnv(t *testing.T) (*ServerEnv, *SimNet, *trackContent, *spa.Totals) {
+func streamEnv(t *testing.T) (*ServerEnv, *spa.SimNet, *trackContent, *spa.Totals) {
 	t.Helper()
 	store := moviedb.NewMemStore()
 	epic := moviedb.SynthesizeLazy(moviedb.SynthConfig{
@@ -65,7 +65,7 @@ func streamEnv(t *testing.T) (*ServerEnv, *SimNet, *trackContent, *spa.Totals) {
 	if err := store.Create(squeeze); err != nil {
 		t.Fatal(err)
 	}
-	sim := NewSimNet()
+	sim := spa.NewSimNet()
 	t.Cleanup(sim.Close)
 	totals := &spa.Totals{}
 	env := &ServerEnv{Store: store, Dialer: sim, StreamWindow: 64, StreamTotals: totals}
@@ -77,7 +77,7 @@ func streamEnv(t *testing.T) (*ServerEnv, *SimNet, *trackContent, *spa.Totals) {
 // through SPA → MTP → equipment sink with pause, resume and live seek, and
 // a second stream over a congested link exercises loss-driven frame
 // dropping — all with bounded sender memory.
-func exerciseStreaming(t *testing.T, c caller, sim *SimNet, tc *trackContent, totals *spa.Totals, addrPrefix string) {
+func exerciseStreaming(t *testing.T, c caller, sim *spa.SimNet, tc *trackContent, totals *spa.Totals, addrPrefix string) {
 	// --- 10k-frame movie into a display sink, with live control. ---
 	clientEnd, err := sim.Listen(addrPrefix+"/video", netsim.Config{})
 	if err != nil {

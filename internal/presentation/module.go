@@ -303,10 +303,3 @@ var protocolMachine = estelle.MustCompile(&estelle.ModuleDef{
 		},
 	},
 })
-
-// SystemDef wraps the protocol machine as a standalone system module.
-func SystemDef() *estelle.ModuleDef {
-	def := *protocolMachine
-	def.Attr = estelle.SystemProcess
-	return &def
-}

@@ -97,12 +97,16 @@ type stackHarness struct {
 	respP      *estelle.Instance
 	initEvents []*estelle.Interaction
 	respEvents []*estelle.Interaction
+	// fired lists every transition fired, in order.
+	fired []estelle.TraceEvent
 }
 
 func newStackHarness(t *testing.T) *stackHarness {
 	t.Helper()
-	rt := estelle.NewRuntime(estelle.WithStrict())
-	h := &stackHarness{rt: rt}
+	h := &stackHarness{}
+	rt := estelle.NewRuntime(estelle.WithStrict(),
+		estelle.WithTrace(func(ev estelle.TraceEvent) { h.fired = append(h.fired, ev) }))
+	h.rt = rt
 	mustAdd := func(def *estelle.ModuleDef, name string) *estelle.Instance {
 		inst, err := rt.AddSystem(def, name)
 		if err != nil {
@@ -110,11 +114,11 @@ func newStackHarness(t *testing.T) *stackHarness {
 		}
 		return inst
 	}
-	h.initP = mustAdd(SystemDef(), "initPres")
-	h.respP = mustAdd(SystemDef(), "respPres")
-	initS := mustAdd(session.SystemDef(), "initSess")
-	respS := mustAdd(session.SystemDef(), "respSess")
-	pipe := mustAdd(transport.SystemPipeProviderDef(), "pipe")
+	h.initP = mustAdd(estelle.AsSystem(ProtocolMachineDef()), "initPres")
+	h.respP = mustAdd(estelle.AsSystem(ProtocolMachineDef()), "respPres")
+	initS := mustAdd(estelle.AsSystem(session.ProtocolMachineDef()), "initSess")
+	respS := mustAdd(estelle.AsSystem(session.ProtocolMachineDef()), "respSess")
+	pipe := mustAdd(estelle.AsSystem(transport.PipeProviderDef()), "pipe")
 	for _, pair := range [][2]*estelle.IP{
 		{h.initP.IP("S"), initS.IP("S")},
 		{h.respP.IP("S"), respS.IP("S")},
@@ -180,6 +184,51 @@ func TestFullStackConnectDataRelease(t *testing.T) {
 	h.run(t)
 	if last = h.initEvents[len(h.initEvents)-1]; last.Name != "PRelCnf" {
 		t.Fatalf("expected PRelCnf, got %v", last.Name)
+	}
+	if h.initP.State() != "Closed" || h.respP.State() != "Closed" {
+		t.Errorf("states: %s / %s", h.initP.State(), h.respP.State())
+	}
+}
+
+// TestReleaseCollisionDropsLateData: user data the responder sends after
+// the release indication (an MCA stream event racing the peer's FN) is
+// discarded by relresp-drop-p, so the release still completes and the
+// initiator sees no data after asking to release.
+func TestReleaseCollisionDropsLateData(t *testing.T) {
+	h := newStackHarness(t)
+	h.initP.IP("P").Inject("PConReq", "server", []Context{{ID: 1, AbstractSyntax: "mcam-pci"}}, []byte(nil))
+	h.run(t)
+	h.respP.IP("P").Inject("PConResp", true, []byte(nil))
+	h.run(t)
+	released := len(h.initEvents)
+	h.initP.IP("P").Inject("PRelReq", []byte(nil))
+	h.run(t)
+	if last := h.respEvents[len(h.respEvents)-1]; last.Name != "PRelInd" {
+		t.Fatalf("expected PRelInd, got %v", last.Name)
+	}
+	h.respP.IP("P").Inject("PDatReq", int64(1), []byte("late-event"))
+	h.respP.IP("P").Inject("PRelResp")
+	h.run(t)
+
+	dropped := false
+	for _, ev := range h.fired {
+		if ev.Transition == "relresp-drop-p" {
+			if ev.Path != h.respP.Path() {
+				t.Errorf("relresp-drop-p fired on %s, want %s", ev.Path, h.respP.Path())
+			}
+			dropped = true
+		}
+	}
+	if !dropped {
+		t.Error("relresp-drop-p never fired")
+	}
+	after := h.initEvents[released:]
+	if len(after) != 1 || after[0].Name != "PRelCnf" {
+		names := make([]string, len(after))
+		for i, in := range after {
+			names[i] = in.Name
+		}
+		t.Fatalf("initiator events after PRelReq = %v, want [PRelCnf]", names)
 	}
 	if h.initP.State() != "Closed" || h.respP.State() != "Closed" {
 		t.Errorf("states: %s / %s", h.initP.State(), h.respP.State())

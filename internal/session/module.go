@@ -272,11 +272,3 @@ var protocolMachine = estelle.MustCompile(&estelle.ModuleDef{
 		},
 	},
 })
-
-// SystemDef wraps the protocol machine as a standalone system module for
-// tests that run a session entity alone.
-func SystemDef() *estelle.ModuleDef {
-	def := *protocolMachine
-	def.Attr = estelle.SystemProcess
-	return &def
-}

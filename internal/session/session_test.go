@@ -120,15 +120,15 @@ func newHarness(t *testing.T) *harness {
 	rt := estelle.NewRuntime(estelle.WithStrict())
 	h := &harness{rt: rt}
 	var err error
-	h.init, err = rt.AddSystem(SystemDef(), "initPM")
+	h.init, err = rt.AddSystem(estelle.AsSystem(ProtocolMachineDef()), "initPM")
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.resp, err = rt.AddSystem(SystemDef(), "respPM")
+	h.resp, err = rt.AddSystem(estelle.AsSystem(ProtocolMachineDef()), "respPM")
 	if err != nil {
 		t.Fatal(err)
 	}
-	pipe, err := rt.AddSystem(transport.SystemPipeProviderDef(), "pipe")
+	pipe, err := rt.AddSystem(estelle.AsSystem(transport.PipeProviderDef()), "pipe")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -92,14 +92,6 @@ func pipeDisconnect(from, to string) estelle.Trans {
 	}
 }
 
-// SystemPipeProviderDef wraps PipeProviderDef as a standalone system module
-// so a pipe can be added directly to a runtime.
-func SystemPipeProviderDef() *estelle.ModuleDef {
-	def := *pipeProvider
-	def.Attr = estelle.SystemProcess
-	return &def
-}
-
 // connBody is the external body bridging an Estelle transport-service IP to
 // a real Conn (TCP/TPKT or in-memory pipe). It is the package's equivalent
 // of the paper's hand-coded ISODE interface module (§4.3): a loop that maps
@@ -139,13 +131,6 @@ func ConnProviderDef(conn Conn, accepted bool, onGone func()) *estelle.ModuleDef
 		},
 		External: body,
 	}
-}
-
-// SystemConnProviderDef wraps ConnProviderDef as a system module.
-func SystemConnProviderDef(conn Conn, accepted bool) *estelle.ModuleDef {
-	def := *ConnProviderDef(conn, accepted, nil)
-	def.Attr = estelle.SystemProcess
-	return &def
 }
 
 // Step implements estelle.Body. It follows the structure of the paper's

@@ -248,7 +248,7 @@ func TestPipeProviderModule(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rt := estelle.NewRuntime(estelle.WithStrict())
-			pipe, err := rt.AddSystem(SystemPipeProviderDef(), "pipe")
+			pipe, err := rt.AddSystem(estelle.AsSystem(PipeProviderDef()), "pipe")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -284,11 +284,11 @@ func TestPipeProviderModule(t *testing.T) {
 func TestConnProviderBridgesRealPipe(t *testing.T) {
 	ca, cb := Pipe(0)
 	rt := estelle.NewRuntime(estelle.WithStrict())
-	provA, err := rt.AddSystem(SystemConnProviderDef(ca, false), "provA")
+	provA, err := rt.AddSystem(estelle.AsSystem(ConnProviderDef(ca, false, nil)), "provA")
 	if err != nil {
 		t.Fatal(err)
 	}
-	provB, err := rt.AddSystem(SystemConnProviderDef(cb, true), "provB")
+	provB, err := rt.AddSystem(estelle.AsSystem(ConnProviderDef(cb, true, nil)), "provB")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -578,11 +578,11 @@ func TestPipePushFullBoundBothWays(t *testing.T) {
 	const capacity = 8
 	ca, cb := Pipe(capacity)
 	rt := estelle.NewRuntime(estelle.WithStrict())
-	provA, err := rt.AddSystem(SystemConnProviderDef(ca, false), "provA")
+	provA, err := rt.AddSystem(estelle.AsSystem(ConnProviderDef(ca, false, nil)), "provA")
 	if err != nil {
 		t.Fatal(err)
 	}
-	provB, err := rt.AddSystem(SystemConnProviderDef(cb, true), "provB")
+	provB, err := rt.AddSystem(estelle.AsSystem(ConnProviderDef(cb, true, nil)), "provB")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,6 +20,7 @@ import (
 	"xmovie/internal/core"
 	"xmovie/internal/mcam"
 	"xmovie/internal/moviedb"
+	"xmovie/internal/spa"
 	"xmovie/internal/transport"
 )
 
@@ -47,7 +48,7 @@ type (
 	// ServerEnv bundles the services a server operates on.
 	ServerEnv = mcam.ServerEnv
 	// SimNet is the in-process simulated stream network.
-	SimNet = mcam.SimNet
+	SimNet = spa.SimNet
 	// StackKind selects the generated or hand-coded control stack.
 	StackKind = core.StackKind
 	// Movie is a stored movie.
@@ -155,7 +156,7 @@ func SynthMovie(name string, frames, frameRate int) *Movie {
 
 // NewSimNet returns an in-process simulated stream network for Play
 // targets. Production deployments use UDP addresses and UDPDialer instead.
-func NewSimNet() *SimNet { return mcam.NewSimNet() }
+func NewSimNet() *SimNet { return spa.NewSimNet() }
 
 // UDPDialer dials real UDP stream addresses.
-func UDPDialer() mcam.StreamDialer { return mcam.UDPDialer{} }
+func UDPDialer() spa.StreamDialer { return spa.UDPDialer{} }

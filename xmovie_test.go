@@ -6,10 +6,18 @@ import (
 	"time"
 
 	"xmovie"
+	"xmovie/internal/core"
 	"xmovie/internal/equipment"
-	"xmovie/internal/mcam"
 	"xmovie/internal/mtp"
 	"xmovie/internal/netsim"
+	"xmovie/internal/spa"
+)
+
+// The public Server and Client are core's, not wrappers around them: one
+// definition per control-plane type.
+var (
+	_ *core.Server = (*xmovie.Server)(nil)
+	_ *core.Client = (*xmovie.Client)(nil)
 )
 
 func newFacadeServer(t *testing.T, stack xmovie.StackKind) (*xmovie.Server, *xmovie.SimNet) {
@@ -172,7 +180,7 @@ func TestStatusErrorSurfacing(t *testing.T) {
 	}
 }
 
-var _ mcam.StreamDialer = xmovie.UDPDialer()
+var _ spa.StreamDialer = xmovie.UDPDialer()
 
 // TestFacadeLazyStreamingTotals drives a lazily synthesized movie through
 // the public API — play, pause, live seek, resume — and reads the server's
