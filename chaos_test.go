@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -72,6 +73,60 @@ func TestAwaitEventTerminalAfterSever(t *testing.T) {
 			}
 			if d := time.Since(start); d > 10*time.Second {
 				t.Fatalf("AwaitEvent burned %v before noticing the sever", d)
+			}
+		})
+	}
+}
+
+// sendCounter is a Conn that counts the messages sent through it.
+type sendCounter struct {
+	xmovie.Conn
+	sends atomic.Int64
+}
+
+func (c *sendCounter) Send(p []byte) error {
+	c.sends.Add(1)
+	return c.Conn.Send(p)
+}
+
+// TestClientCloseIdempotent closes a client from two goroutines at once and
+// then once more, on each stack: only the first Close releases, and every
+// later one sends nothing and returns ErrClosed.
+func TestClientCloseIdempotent(t *testing.T) {
+	for _, s := range stacks {
+		t.Run(s.name, func(t *testing.T) {
+			srv, _ := newFacadeServer(t, s.stack)
+			serverEnd, clientEnd := xmovie.Pipe()
+			if err := srv.ServeConn(serverEnd); err != nil {
+				t.Fatal(err)
+			}
+			conn := &sendCounter{Conn: clientEnd}
+			client, err := xmovie.NewClientConn(conn, xmovie.ClientConfig{Stack: s.stack})
+			if err != nil {
+				t.Fatal(err)
+			}
+			errs := make(chan error, 2)
+			for range 2 {
+				go func() { errs <- client.Close() }()
+			}
+			var released int
+			for range 2 {
+				switch err := <-errs; {
+				case err == nil:
+					released++
+				case !errors.Is(err, xmovie.ErrClosed):
+					t.Fatalf("concurrent Close = %v", err)
+				}
+			}
+			if released != 1 {
+				t.Fatalf("%d of two concurrent Closes released", released)
+			}
+			sent := conn.sends.Load()
+			if err := client.Close(); !errors.Is(err, xmovie.ErrClosed) {
+				t.Fatalf("third Close = %v, want ErrClosed", err)
+			}
+			if n := conn.sends.Load(); n != sent {
+				t.Fatalf("third Close sent %d messages", n-sent)
 			}
 		})
 	}
@@ -405,6 +460,218 @@ func TestReconnectHonorsBusy(t *testing.T) {
 	}
 	if st := rc.Stats(); st.BusyWaits < 1 {
 		t.Fatalf("reconnect stats %+v, want at least one busy wait", st)
+	}
+}
+
+// dialLog is a ReconnectConfig.Dial that records when each dial starts.
+type dialLog struct {
+	mu   sync.Mutex
+	addr string
+	cfg  xmovie.ClientConfig
+	at   []time.Time
+}
+
+func (d *dialLog) setAddr(addr string) {
+	d.mu.Lock()
+	d.addr = addr
+	d.mu.Unlock()
+}
+
+func (d *dialLog) dial() (*xmovie.Client, error) {
+	d.mu.Lock()
+	d.at = append(d.at, time.Now())
+	addr := d.addr
+	d.mu.Unlock()
+	return xmovie.Dial(addr, d.cfg)
+}
+
+func (d *dialLog) count() int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return len(d.at)
+}
+
+// TestReconnectReselectRefused restarts the server without the selected
+// movie: the next operation redials once, and the refused re-select is
+// returned at once as the terminal answer it is, not retried.
+func TestReconnectReselectRefused(t *testing.T) {
+	store := xmovie.NewMemStore()
+	if err := store.Create(xmovie.SynthMovie("film", 10, 25)); err != nil {
+		t.Fatal(err)
+	}
+	serve := func() *xmovie.Server {
+		srv, err := xmovie.ListenAndServe(xmovie.ServerConfig{
+			Addr: "127.0.0.1:0", Env: &xmovie.ServerEnv{Store: store},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return srv
+	}
+	srv := serve()
+	d := &dialLog{addr: srv.Addr(), cfg: xmovie.ClientConfig{CallTimeout: 2 * time.Second}}
+	rc, err := xmovie.NewReconnectClient(xmovie.ReconnectConfig{
+		Dial: d.dial, BackoffBase: 5 * time.Millisecond, MaxAttempts: 5, Seed: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc.Close()
+	if _, _, err := rc.Select("film"); err != nil {
+		t.Fatal(err)
+	}
+	srv.Close()
+	if err := store.Delete("film"); err != nil {
+		t.Fatal(err)
+	}
+	srv = serve()
+	defer srv.Close()
+	d.setAddr(srv.Addr())
+
+	before := d.count()
+	_, err = rc.List()
+	if err == nil || !strings.Contains(err.Error(), `re-select "film"`) {
+		t.Fatalf("List after restart = %v, want the re-select refusal", err)
+	}
+	var se *xmovie.StatusError
+	if !errors.As(err, &se) || se.Response.Status != xmovie.StatusNoSuchMovie {
+		t.Fatalf("List error %v carries no StatusNoSuchMovie", err)
+	}
+	if n := d.count() - before; n != 1 {
+		t.Fatalf("List dialed %d times, want 1", n)
+	}
+}
+
+// TestReconnectReselectBusy severs the association while another client
+// takes the server's only session slot: the re-select on each redial is
+// answered StatusBusy, and the next dial waits out the retry-after hint.
+func TestReconnectReselectBusy(t *testing.T) {
+	const hint = 150 * time.Millisecond
+	store := xmovie.NewMemStore()
+	if err := store.Create(xmovie.SynthMovie("film", 10, 25)); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := xmovie.ListenAndServe(xmovie.ServerConfig{
+		Addr:   "127.0.0.1:0",
+		Env:    &xmovie.ServerEnv{Store: store},
+		Limits: xmovie.Limits{MaxSessions: 1, BusyRetryAfter: hint},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	d := &dialLog{addr: srv.Addr(), cfg: xmovie.ClientConfig{CallTimeout: 2 * time.Second}}
+	rc, err := xmovie.NewReconnectClient(xmovie.ReconnectConfig{
+		Dial: d.dial, BackoffBase: 5 * time.Millisecond, BackoffMax: 10 * time.Millisecond,
+		MaxAttempts: 20, Seed: 5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc.Close()
+	if _, _, err := rc.Select("film"); err != nil {
+		t.Fatal(err)
+	}
+
+	// Sever rc's association and hand its slot to a holder.
+	if err := rc.Client().Close(); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); srv.Observe().Sessions.Active != 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("the severed session was never reclaimed")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	holder, err := xmovie.Dial(srv.Addr(), xmovie.ClientConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := holder.List(); err != nil {
+		t.Fatalf("holder did not get the slot: %v", err)
+	}
+	go func() {
+		time.Sleep(3 * hint)
+		holder.Close()
+	}()
+
+	first := d.count() // the first redial is answered busy
+	if _, err := rc.List(); err != nil {
+		t.Fatalf("List never won the slot back: %v", err)
+	}
+	if st := rc.Stats(); st.BusyWaits < 1 {
+		t.Fatalf("reconnect stats %+v, want at least one busy wait", st)
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if len(d.at) < first+2 {
+		t.Fatalf("%d redials, want a busy one and the one after it", len(d.at)-first)
+	}
+	for i := first + 1; i < len(d.at); i++ {
+		if gap := d.at[i].Sub(d.at[i-1]); gap < hint {
+			t.Errorf("redial %d came %v after the busy one, before the %v hint", i-first, gap, hint)
+		}
+	}
+}
+
+// TestReconnectBoundsDials makes every call time out: one operation dials
+// at most MaxAttempts times, and OnRedial reports each redial's backoff
+// before it.
+func TestReconnectBoundsDials(t *testing.T) {
+	const maxAttempts = 5
+	faulty := chaos.NewFaultStore(xmovie.NewMemStore(), chaos.FaultConfig{})
+	srv, err := xmovie.ListenAndServe(xmovie.ServerConfig{
+		Addr: "127.0.0.1:0", Env: &xmovie.ServerEnv{Store: faulty},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	var mu sync.Mutex
+	var log []string
+	rc, err := xmovie.NewReconnectClient(xmovie.ReconnectConfig{
+		Dial: func() (*xmovie.Client, error) {
+			mu.Lock()
+			log = append(log, "dial")
+			mu.Unlock()
+			return xmovie.Dial(srv.Addr(), xmovie.ClientConfig{CallTimeout: 100 * time.Millisecond})
+		},
+		BackoffBase: 5 * time.Millisecond,
+		MaxAttempts: maxAttempts,
+		Seed:        9,
+		OnRedial: func(int, time.Duration, error) {
+			mu.Lock()
+			log = append(log, "backoff")
+			mu.Unlock()
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc.Close()
+	faulty.SetConfig(chaos.FaultConfig{Seed: 1, SlowProb: 1, SlowDelay: 250 * time.Millisecond})
+
+	mu.Lock()
+	log = log[:0]
+	mu.Unlock()
+	if _, err := rc.List(); !errors.Is(err, xmovie.ErrTimeout) {
+		t.Fatalf("List = %v, want a timeout", err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	dials := 0
+	for i, ev := range log {
+		if ev != "dial" {
+			continue
+		}
+		dials++
+		if i == 0 || log[i-1] != "backoff" {
+			t.Errorf("dial %d not preceded by OnRedial: %v", dials, log)
+		}
+	}
+	if dials == 0 || dials > maxAttempts {
+		t.Fatalf("one List dialed %d times, want 1..%d: %v", dials, maxAttempts, log)
 	}
 }
 

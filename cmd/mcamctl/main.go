@@ -201,7 +201,15 @@ func runOffline(dataDir string, appendTo bool, args []string) error {
 				return fmt.Errorf("%s already exists (use -append to add these frames to it)", name)
 			}
 		}
-		if err := store.AppendFrames(name, frames); err != nil {
+		rec, err := store.Record(name)
+		if err != nil {
+			return err
+		}
+		_, err = rec.Append(frames)
+		if cerr := rec.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
 			return err
 		}
 		m, err := store.Get(name)

@@ -211,24 +211,6 @@ func (s *FaultStore) SetAttrs(name string, updates moviedb.Attributes) error {
 	return s.inner.SetAttrs(name, updates)
 }
 
-// AppendFrames implements moviedb.Store, including torn appends: a torn
-// batch persists a prefix and fails, exactly what a crash mid-append leaves
-// behind.
-func (s *FaultStore) AppendFrames(name string, frames [][]byte) error {
-	if err := s.gate("append"); err != nil {
-		return err
-	}
-	if keep, torn := s.tornLen(len(frames)); torn {
-		if keep > 0 {
-			if err := s.inner.AppendFrames(name, frames[:keep]); err != nil {
-				return err
-			}
-		}
-		return fmt.Errorf("append: torn after %d/%d frames: %w", keep, len(frames), ErrInjected)
-	}
-	return s.inner.AppendFrames(name, frames)
-}
-
 // Record implements moviedb.Store; the returned recorder rolls the schedule
 // on every Append.
 func (s *FaultStore) Record(name string) (moviedb.Recorder, error) {

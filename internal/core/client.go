@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"xmovie/internal/estelle"
@@ -30,6 +31,7 @@ type Client struct {
 
 	conn        transport.Conn
 	callTimeout time.Duration
+	closed      atomic.Bool
 }
 
 // ClientConfig configures Dial.
@@ -113,8 +115,12 @@ func (c *Client) Call(req *mcam.Request) (*mcam.Response, error) {
 }
 
 // Close releases the association and tears the entity down. Afterwards any
-// waiter still blocked in Call or AwaitEvent fails fast with ErrClosed.
+// waiter still blocked in Call or AwaitEvent fails fast with ErrClosed, and
+// a second Close sends nothing and returns ErrClosed.
 func (c *Client) Close() error {
+	if !c.closed.CompareAndSwap(false, true) {
+		return mcam.ErrClosed
+	}
 	var err error
 	if c.iso != nil {
 		err = c.iso.Close()
@@ -127,14 +133,26 @@ func (c *Client) Close() error {
 	return err
 }
 
-// do runs a request and folds protocol-level failures into errors.
+// StatusError is a non-OK response folded into an error by the per-operation
+// methods: the server answered, and refused the operation. Every other
+// error from them means the association, not the request, failed.
+type StatusError struct {
+	Op       mcam.Op
+	Response *mcam.Response
+}
+
+func (e *StatusError) Error() string {
+	return fmt.Sprintf("xmovie: %s: %s (%s)", e.Op, e.Response.Status, e.Response.Diagnostic)
+}
+
+// do runs a request and folds a non-OK response into a *StatusError.
 func (c *Client) do(req *mcam.Request) (*mcam.Response, error) {
 	resp, err := c.Call(req)
 	if err != nil {
 		return nil, err
 	}
 	if !resp.OK() {
-		return resp, fmt.Errorf("xmovie: %s: %s (%s)", req.Op, resp.Status, resp.Diagnostic)
+		return resp, &StatusError{Op: req.Op, Response: resp}
 	}
 	return resp, nil
 }

@@ -337,6 +337,7 @@ type Scheduler struct {
 	units    map[string]*unit
 	unitList []*unit
 	started  bool
+	stopped  bool
 
 	tokens    chan struct{}
 	stopCh    chan struct{}
@@ -605,13 +606,15 @@ func (s *Scheduler) runUnit(u *unit) {
 	}
 }
 
-// Stop halts all unit goroutines and detaches from the runtime.
+// Stop halts all unit goroutines and detaches from the runtime. Only the
+// first Stop of a started scheduler does anything.
 func (s *Scheduler) Stop() {
 	s.mu.Lock()
-	if !s.started {
+	if !s.started || s.stopped {
 		s.mu.Unlock()
 		return
 	}
+	s.stopped = true
 	s.mu.Unlock()
 	close(s.stopCh)
 	s.wg.Wait()

@@ -15,7 +15,7 @@ const DefaultDiskCacheBytes = 8 << 20
 // unique instance id (not the name), so deleting and recreating a movie can
 // never serve stale bytes. The frame count disambiguates the tail chunk:
 // full chunks are append-stable, but a partial tail chunk grows with every
-// AppendFrames, so snapshots taken at different lengths key different
+// Recorder.Append, so snapshots taken at different lengths key different
 // entries and the shorter ones simply age out.
 type chunkKey struct {
 	movie  uint64

@@ -638,21 +638,6 @@ func (s *DiskStore) SetAttrs(name string, updates Attributes) error {
 	return nil
 }
 
-// AppendFrames implements Store: recorded frames go straight to the
-// segment file — the disk backend supports append natively, lazy content
-// and all. Frames land in any open live window too, so a one-shot append
-// during someone else's recording session reaches tailing viewers.
-func (s *DiskStore) AppendFrames(name string, frames [][]byte) error {
-	m, err := s.lookup(name)
-	if err != nil {
-		return err
-	}
-	if _, err := m.appendFrames(frames); err != nil {
-		return fmt.Errorf("moviedb: append %s: %w", name, err)
-	}
-	return nil
-}
-
 // Record implements Store.
 func (s *DiskStore) Record(name string) (Recorder, error) {
 	m, err := s.lookup(name)

@@ -113,7 +113,7 @@ func TestDiskStorePersistsAcrossReopen(t *testing.T) {
 		if err := s.Create(&Movie{Name: "eager", FrameRate: 30, Frames: eager[:5]}); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.AppendFrames("eager", eager[5:]); err != nil {
+		if err := appendFrames(s, "eager", eager[5:]); err != nil {
 			t.Fatal(err)
 		}
 		if err := s.SetAttrs("eager", Attributes{"studio": "xmovie"}); err != nil {
@@ -348,7 +348,7 @@ func TestDiskAppendVisibleToOpenSource(t *testing.T) {
 	}
 	src := m.Open() // opened at 4 frames, before the append
 	defer src.Close()
-	if err := s.AppendFrames("m", frames[4:]); err != nil {
+	if err := appendFrames(s, "m", frames[4:]); err != nil {
 		t.Fatal(err)
 	}
 	if src.Len() != 8 {

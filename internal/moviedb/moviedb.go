@@ -183,9 +183,6 @@ type Store interface {
 	// SetAttrs merges attribute updates into the named movie (a value of
 	// "" deletes the key).
 	SetAttrs(name string, updates Attributes) error
-	// AppendFrames adds recorded frames to the named movie: a one-shot
-	// recording session (Record + Append + Close).
-	AppendFrames(name string, frames [][]byte) error
 	// Record opens a live append session on the named movie. While the
 	// session is open the movie is live: sources follow its growing tail
 	// and Delete refuses. Sessions on the same movie share one live
@@ -355,19 +352,6 @@ func (s *MemStore) SetAttrs(name string, updates Attributes) error {
 	defer mm.mu.Unlock()
 	mm.attrs = merged(mm.attrs, updates)
 	return nil
-}
-
-// AppendFrames implements Store: a one-shot recording session.
-func (s *MemStore) AppendFrames(name string, frames [][]byte) error {
-	rec, err := s.Record(name)
-	if err != nil {
-		return err
-	}
-	_, err = rec.Append(frames)
-	if cerr := rec.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }
 
 // Record implements Store.

@@ -92,18 +92,38 @@ func TestAppendFramesCopies(t *testing.T) {
 	if err := s.Create(&Movie{Name: "rec", FrameRate: 25, Attrs: Attributes{}}); err != nil {
 		t.Fatal(err)
 	}
+	rec, err := s.Record("rec")
+	if err != nil {
+		t.Fatal(err)
+	}
 	f := []byte{1, 2, 3}
-	if err := s.AppendFrames("rec", [][]byte{f}); err != nil {
+	if _, err := rec.Append([][]byte{f}); err != nil {
 		t.Fatal(err)
 	}
 	f[0] = 99
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
 	got, _ := s.Get("rec")
 	if got.Frames[0][0] != 1 {
-		t.Error("AppendFrames did not copy the frame")
+		t.Error("Append did not copy the frame")
 	}
-	if err := s.AppendFrames("none", [][]byte{f}); !errors.Is(err, ErrNotFound) {
-		t.Errorf("AppendFrames on missing = %v", err)
+	if _, err := s.Record("none"); !errors.Is(err, ErrNotFound) {
+		t.Errorf("Record on missing = %v", err)
 	}
+}
+
+// appendFrames appends frames to the named movie in one recording session.
+func appendFrames(s Store, name string, frames [][]byte) error {
+	rec, err := s.Record(name)
+	if err != nil {
+		return err
+	}
+	_, err = rec.Append(frames)
+	if cerr := rec.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 func TestSynthesizeDeterministic(t *testing.T) {

@@ -74,11 +74,6 @@ func (s *ShardedStore) SetAttrs(name string, updates Attributes) error {
 	return s.shard(name).SetAttrs(name, updates)
 }
 
-// AppendFrames implements Store.
-func (s *ShardedStore) AppendFrames(name string, frames [][]byte) error {
-	return s.shard(name).AppendFrames(name, frames)
-}
-
 // Record implements Store.
 func (s *ShardedStore) Record(name string) (Recorder, error) {
 	return s.shard(name).Record(name)

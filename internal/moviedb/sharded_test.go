@@ -73,7 +73,7 @@ func TestShardedStoreConcurrent(t *testing.T) {
 					errs[w] = err
 					return
 				}
-				if err := s.AppendFrames(name, [][]byte{{1, 2, 3}}); err != nil {
+				if err := appendFrames(s, name, [][]byte{{1, 2, 3}}); err != nil {
 					errs[w] = err
 					return
 				}

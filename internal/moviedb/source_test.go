@@ -136,7 +136,7 @@ func TestStoreLazyMovie(t *testing.T) {
 	// base generator keeps serving the first 20 frames byte-identically
 	// and the appended frame follows them, with nothing materialized.
 	want := Synthesize(SynthConfig{Name: "lz", Frames: 20, FrameSize: 8}).Frames
-	if err := s.AppendFrames("lz", [][]byte{{1}}); err != nil {
+	if err := appendFrames(s, "lz", [][]byte{{1}}); err != nil {
 		t.Fatalf("append to lazy movie: %v", err)
 	}
 	m, err = s.Get("lz")

@@ -185,7 +185,10 @@ var protocolMachine = estelle.MustCompile(&estelle.ModuleDef{
 		},
 		// --- Data transfer.
 		{
-			Name: "s-datreq", From: []string{"Connected", "WaitDN"}, When: estelle.On("S", "SDatReq"),
+			// In WaitRelResp the FN has arrived but the release is not yet
+			// answered: data the user sent before SRelResp still goes out,
+			// as DT ahead of the DN (see DESIGN.md).
+			Name: "s-datreq", From: []string{"Connected", "WaitDN", "WaitRelResp"}, When: estelle.On("S", "SDatReq"),
 			Action: func(ctx *estelle.Ctx) {
 				dt := (&SPDU{Type: SPDUData}).With(PIUserData, ctx.Msg.Bytes(0))
 				sendSPDU(ctx, dt)

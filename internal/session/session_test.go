@@ -111,6 +111,7 @@ type harness struct {
 	rt    *estelle.Runtime
 	init  *estelle.Instance // initiator PM
 	resp  *estelle.Instance // responder PM
+	pipe  *estelle.Instance // the transport pipe between them
 	initS []*estelle.Interaction
 	respS []*estelle.Interaction
 }
@@ -128,14 +129,14 @@ func newHarness(t *testing.T) *harness {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pipe, err := rt.AddSystem(estelle.AsSystem(transport.PipeProviderDef()), "pipe")
+	h.pipe, err = rt.AddSystem(estelle.AsSystem(transport.PipeProviderDef()), "pipe")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rt.Connect(h.init.IP("T"), pipe.IP("A")); err != nil {
+	if err := rt.Connect(h.init.IP("T"), h.pipe.IP("A")); err != nil {
 		t.Fatal(err)
 	}
-	if err := rt.Connect(h.resp.IP("T"), pipe.IP("B")); err != nil {
+	if err := rt.Connect(h.resp.IP("T"), h.pipe.IP("B")); err != nil {
 		t.Fatal(err)
 	}
 	h.init.IP("S").SetSink(func(in *estelle.Interaction) { h.initS = append(h.initS, in) })
@@ -236,6 +237,55 @@ func TestSessionRefuse(t *testing.T) {
 	if h.init.State() != "Closed" {
 		t.Errorf("initiator state = %s", h.init.State())
 	}
+	h.assertDrained(t)
+}
+
+// assertDrained fails t unless every queue of the two machines and the pipe
+// is empty: a message left at a queue's head is one no transition took.
+func (h *harness) assertDrained(t *testing.T) {
+	t.Helper()
+	for _, m := range []*estelle.Instance{h.init, h.resp, h.pipe} {
+		for _, ip := range m.Def().IPs {
+			if n := m.IP(ip.Name).QueueLen(); n != 0 {
+				t.Errorf("%s.%s in state %s holds %d queued messages", m.Name(), ip.Name, m.State(), n)
+			}
+		}
+	}
+}
+
+// TestSessionDataCrossesRelease sends responder data after the FN has
+// arrived and before the release is answered (a stream event crossing the
+// client's release): the data goes out as DT ahead of the DN, the initiator
+// takes it while it waits, and the release completes.
+func TestSessionDataCrossesRelease(t *testing.T) {
+	h := newHarness(t)
+	h.init.IP("S").Inject("SConReq", "sel", []byte(nil))
+	h.run(t)
+	h.resp.IP("S").Inject("SConResp", true, []byte(nil))
+	h.run(t)
+	h.init.IP("S").Inject("SRelReq", []byte(nil))
+	h.run(t)
+	if h.resp.State() != "WaitRelResp" {
+		t.Fatalf("responder state after FN = %s", h.resp.State())
+	}
+	released := len(h.initS)
+	h.resp.IP("S").Inject("SDatReq", []byte("late event"))
+	h.resp.IP("S").Inject("SRelResp")
+	h.run(t)
+	var names []string
+	for _, in := range h.initS[released:] {
+		names = append(names, in.Name)
+	}
+	if len(names) != 2 || names[0] != "SDatInd" || names[1] != "SRelCnf" {
+		t.Fatalf("initiator indications after SRelReq = %v, want [SDatInd SRelCnf]", names)
+	}
+	if got := h.initS[released].Bytes(0); string(got) != "late event" {
+		t.Errorf("data = %q", got)
+	}
+	if h.init.State() != "Closed" || h.resp.State() != "Closed" {
+		t.Errorf("states after release: %s / %s", h.init.State(), h.resp.State())
+	}
+	h.assertDrained(t)
 }
 
 func TestSessionAbort(t *testing.T) {

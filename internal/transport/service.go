@@ -66,6 +66,8 @@ var pipeProvider = estelle.MustCompile(&estelle.ModuleDef{
 		pipeRelay("B", "A"),
 		pipeDisconnect("A", "B"),
 		pipeDisconnect("B", "A"),
+		pipeDisCollision("A"),
+		pipeDisCollision("B"),
 	},
 })
 
@@ -89,6 +91,18 @@ func pipeDisconnect(from, to string) estelle.Trans {
 		Action: func(ctx *estelle.Ctx) {
 			ctx.Output(to, "TDisInd")
 		},
+	}
+}
+
+// pipeDisCollision takes a TDisReq that reaches an idle pipe: both users
+// asked to disconnect, and the other request already closed the
+// connection. As in a T-DISCONNECT collision of the transport service, it
+// is consumed without an indication.
+func pipeDisCollision(from string) estelle.Trans {
+	return estelle.Trans{
+		Name: "dis-late-" + from,
+		From: []string{"Idle"},
+		When: estelle.On(from, "TDisReq"),
 	}
 }
 

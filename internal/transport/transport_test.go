@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -276,6 +277,60 @@ func TestPipeProviderModule(t *testing.T) {
 			rst := responder.Body().(*tUser)
 			if rst.received != tc.sent || !rst.done {
 				t.Errorf("responder received=%d done=%v", rst.received, rst.done)
+			}
+		})
+	}
+}
+
+// TestPipeDisconnectCollision has both users of a connected pipe ask to
+// disconnect, first one side and then the other: the second TDisReq meets an
+// idle pipe, which takes it without an indication (dis-late-A or
+// dis-late-B), so no queue keeps a message no transition takes.
+func TestPipeDisconnectCollision(t *testing.T) {
+	for _, first := range []string{"A", "B"} {
+		t.Run(first+"-first", func(t *testing.T) {
+			var fired []string
+			rt := estelle.NewRuntime(estelle.WithStrict(),
+				estelle.WithTrace(func(ev estelle.TraceEvent) { fired = append(fired, ev.Transition) }))
+			pipe, err := rt.AddSystem(estelle.AsSystem(PipeProviderDef()), "pipe")
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := map[string][]string{}
+			for _, side := range []string{"A", "B"} {
+				pipe.IP(side).SetSink(func(in *estelle.Interaction) { got[side] = append(got[side], in.Name) })
+			}
+			run := func() {
+				t.Helper()
+				if _, err := estelle.NewStepper(rt).RunUntilIdle(100); err != nil {
+					t.Fatal(err)
+				}
+			}
+			pipe.IP("A").Inject("TConReq", "sel")
+			run()
+			pipe.IP("B").Inject("TConResp")
+			run()
+			second := map[string]string{"A": "B", "B": "A"}[first]
+			pipe.IP(first).Inject("TDisReq")
+			run()
+			pipe.IP(second).Inject("TDisReq")
+			run()
+			if pipe.State() != "Idle" {
+				t.Errorf("pipe state = %s", pipe.State())
+			}
+			for _, side := range []string{"A", "B"} {
+				if n := pipe.IP(side).QueueLen(); n != 0 {
+					t.Errorf("queue %s holds %d messages", side, n)
+				}
+			}
+			if ind := got[second]; len(ind) == 0 || ind[len(ind)-1] != "TDisInd" {
+				t.Errorf("%s got %v, want a last TDisInd", second, ind)
+			}
+			if ind := got[first]; slices.Contains(ind, "TDisInd") {
+				t.Errorf("%s got %v, want no TDisInd", first, ind)
+			}
+			if want := "dis-late-" + second; fired[len(fired)-1] != want {
+				t.Errorf("fired %v, want %s last", fired, want)
 			}
 		})
 	}

@@ -20,8 +20,8 @@ type ReconnectConfig struct {
 	// attempt doubles it up to BackoffMax (default 5s).
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
-	// MaxAttempts bounds how many consecutive redials one operation may
-	// trigger before giving up (default 10).
+	// MaxAttempts bounds the attempts of one operation, and so its dials,
+	// before it gives up (default 10).
 	MaxAttempts int
 	// Jitter spreads each wait uniformly over [wait*(1-Jitter), wait]
 	// (0 = none, default 0.5) so a thundering herd of reconnecting clients
@@ -77,6 +77,7 @@ type ReconnectClient struct {
 	mu       sync.Mutex
 	c        *Client // nil until connected / after Close
 	closed   bool
+	dialed   bool // a first association was made: later ones are redials
 	selected string
 	last     *lastPlay
 	rng      *rand.Rand
@@ -111,7 +112,7 @@ func NewReconnectClient(cfg ReconnectConfig) (*ReconnectClient, error) {
 		seed = rand.Int63()
 	}
 	r := &ReconnectClient{cfg: cfg, rng: rand.New(rand.NewSource(seed))}
-	if err := r.connect(false); err != nil {
+	if err := r.call(func(*Client) error { return nil }); err != nil {
 		return nil, err
 	}
 	return r, nil
@@ -132,108 +133,11 @@ func (r *ReconnectClient) backoff(n int) time.Duration {
 	return wait
 }
 
-// connect dials with backoff until a client is established (re-selecting
-// the session's movie when restore is set) or attempts are exhausted.
-func (r *ReconnectClient) connect(restore bool) error {
-	var lastErr error
-	for attempt := 0; attempt < r.cfg.MaxAttempts; attempt++ {
-		if attempt > 0 {
-			wait := r.backoff(attempt - 1)
-			if r.cfg.OnRedial != nil {
-				r.cfg.OnRedial(attempt, wait, lastErr)
-			}
-			time.Sleep(wait)
-		}
-		r.mu.Lock()
-		if r.closed {
-			r.mu.Unlock()
-			return ErrClosed
-		}
-		selected := r.selected
-		r.mu.Unlock()
-
-		c, err := r.cfg.Dial()
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		if restore && selected != "" {
-			if _, _, err := c.Select(selected); err != nil {
-				_ = c.Close()
-				if resp, busy := busyResponse(err); busy {
-					r.busyWait(resp)
-					lastErr = err
-					continue
-				}
-				if !retryable(err) {
-					return fmt.Errorf("xmovie: reconnected but re-select %q failed: %w", selected, err)
-				}
-				lastErr = err
-				continue
-			}
-		}
-		r.mu.Lock()
-		if r.closed {
-			r.mu.Unlock()
-			_ = c.Close()
-			return ErrClosed
-		}
-		r.c = c
-		r.mu.Unlock()
-		if restore {
-			r.redials.Add(1)
-		}
-		return nil
-	}
-	return fmt.Errorf("xmovie: gave up after %d attempts: %w", r.cfg.MaxAttempts, lastErr)
-}
-
-// retryable reports whether err means the association (not the request) is
-// the problem: severed, timed out, or never dialed.
-func retryable(err error) bool {
-	if errors.Is(err, ErrTimeout) || errors.Is(err, ErrClosed) {
-		return true
-	}
-	// Application-level refusals carry an MCAM status and are terminal for
-	// the request; everything else on a call path is transport trouble.
-	var busy *busyErr
-	return !errors.As(err, &busy) && !isStatusErr(err)
-}
-
-// busyErr marks a StatusBusy response folded into an error, carrying the
-// server's retry-after hint.
-type busyErr struct {
-	resp *Response
-}
-
-func (b *busyErr) Error() string {
-	return fmt.Sprintf("xmovie: server busy (retry after %dms)", b.resp.RetryAfterMs)
-}
-
-// statusErr marks any other non-OK response (terminal for the request).
-type statusErr struct{ err error }
-
-func (s *statusErr) Error() string { return s.err.Error() }
-func (s *statusErr) Unwrap() error { return s.err }
-
-func isStatusErr(err error) bool {
-	var se *statusErr
-	return errors.As(err, &se)
-}
-
-func busyResponse(err error) (*Response, bool) {
-	var be *busyErr
-	if errors.As(err, &be) {
-		return be.resp, true
-	}
-	return nil, false
-}
-
 // busyWait sleeps out a StatusBusy retry-after hint (falling back to the
 // base backoff when the server sent none), with the same jitter spread.
 func (r *ReconnectClient) busyWait(resp *Response) {
 	wait := r.cfg.BackoffBase
-	if resp != nil && resp.RetryAfterMs > 0 {
+	if resp.RetryAfterMs > 0 {
 		wait = time.Duration(resp.RetryAfterMs) * time.Millisecond
 	}
 	if r.cfg.Jitter > 0 {
@@ -249,51 +153,85 @@ func (r *ReconnectClient) busyWait(resp *Response) {
 	time.Sleep(wait)
 }
 
-// call runs op against the live client, redialing and retrying on severed
-// associations and busy servers. op must classify its own response via
-// classify (so busy/terminal statuses are distinguishable from transport
-// failures).
+// call runs op against the live client, at most MaxAttempts times. Each
+// attempt first makes sure there is a client, dialing one and re-selecting
+// the session's movie if need be. A *StatusError means the server refused
+// the operation or the re-select, and is returned at once; a StatusBusy one
+// instead drops the client and waits out its hint. Any other failure means
+// the association is gone: it is dropped, and the next attempt redials
+// after an exponential backoff.
 func (r *ReconnectClient) call(op func(c *Client) error) error {
-	var lastErr error
-	for attempt := 0; attempt < r.cfg.MaxAttempts; attempt++ {
+	for attempt := 0; ; attempt++ {
+		c, err := r.client()
+		if err == nil {
+			if err = op(c); err == nil {
+				return nil
+			}
+		}
+		var se *StatusError
+		if errors.As(err, &se) && se.Response.Status != StatusBusy {
+			return err
+		}
+		if c != nil {
+			r.dropClient(c)
+		}
 		r.mu.Lock()
-		if r.closed {
-			r.mu.Unlock()
+		closed := r.closed
+		r.mu.Unlock()
+		if closed {
 			return ErrClosed
 		}
-		c := r.c
-		r.mu.Unlock()
-		if c == nil {
-			if err := r.connect(true); err != nil {
-				return err
-			}
+		if attempt+1 == r.cfg.MaxAttempts {
+			return fmt.Errorf("xmovie: gave up after %d attempts: %w", r.cfg.MaxAttempts, err)
+		}
+		if se != nil {
+			r.busyWait(se.Response)
 			continue
 		}
-		err := op(c)
-		if err == nil {
-			return nil
+		wait := r.backoff(attempt)
+		if r.cfg.OnRedial != nil {
+			r.cfg.OnRedial(attempt+1, wait, err)
 		}
-		lastErr = err
-		if resp, busy := busyResponse(err); busy {
-			// The association is a shedding responder, not a session:
-			// drop it, wait out the hint, dial fresh.
-			r.dropClient(c)
-			r.busyWait(resp)
-			continue
-		}
-		if !retryable(err) {
-			var se *statusErr
-			if errors.As(err, &se) {
-				return se.err
-			}
-			return err
-		}
-		r.dropClient(c)
-		if err := r.connect(true); err != nil {
-			return err
+		time.Sleep(wait)
+	}
+}
+
+// client returns the live client, or dials one and re-selects the session's
+// movie on it.
+func (r *ReconnectClient) client() (*Client, error) {
+	r.mu.Lock()
+	c, closed, selected := r.c, r.closed, r.selected
+	r.mu.Unlock()
+	if closed {
+		return nil, ErrClosed
+	}
+	if c != nil {
+		return c, nil
+	}
+	c, err := r.cfg.Dial()
+	if err != nil {
+		return nil, err
+	}
+	if selected != "" {
+		if _, _, err := c.Select(selected); err != nil {
+			_ = c.Close()
+			return nil, fmt.Errorf("xmovie: reconnected but re-select %q failed: %w", selected, err)
 		}
 	}
-	return fmt.Errorf("xmovie: gave up after %d attempts: %w", r.cfg.MaxAttempts, lastErr)
+	r.mu.Lock()
+	closed = r.closed
+	if !closed {
+		if r.dialed {
+			r.redials.Add(1)
+		}
+		r.c, r.dialed = c, true
+	}
+	r.mu.Unlock()
+	if closed {
+		_ = c.Close()
+		return nil, ErrClosed
+	}
+	return c, nil
 }
 
 // dropClient closes and forgets c if it is still the current client.
@@ -306,60 +244,29 @@ func (r *ReconnectClient) dropClient(c *Client) {
 	_ = c.Close()
 }
 
-// classify folds a non-OK response into a typed error so call can
-// distinguish busy (redial after hint) from terminal refusals.
-func classify(resp *Response, err error) error {
-	if err != nil {
-		if resp != nil && resp.Status == StatusBusy {
-			return &busyErr{resp: resp}
-		}
-		if resp != nil {
-			return &statusErr{err: err}
-		}
-		return err
-	}
-	return nil
-}
-
-// doReq performs one raw request through the retry loop.
-func (r *ReconnectClient) doReq(req *Request) (*Response, error) {
-	var resp *Response
-	err := r.call(func(c *Client) error {
-		// Requests are re-encoded per attempt; InvokeID is assigned by the
-		// client, so reusing the struct across associations is safe.
-		rr, err := c.Call(req)
-		if err != nil {
-			return err
-		}
-		if !rr.OK() {
-			return classify(rr, fmt.Errorf("xmovie: %s: %s (%s)", req.Op, rr.Status, rr.Diagnostic))
-		}
-		resp = rr
-		return nil
-	})
-	return resp, err
-}
-
 // Select opens a movie for the session; after any reconnect the selection
 // is re-established automatically before operations retry.
 func (r *ReconnectClient) Select(name string) (length int64, frameRate int64, err error) {
-	resp, err := r.doReq(&Request{Op: OpSelect, Movie: name})
+	err = r.call(func(c *Client) (err error) {
+		length, frameRate, err = c.Select(name)
+		return err
+	})
 	if err != nil {
 		return 0, 0, err
 	}
 	r.mu.Lock()
 	r.selected = name
 	r.mu.Unlock()
-	return resp.Length, resp.FrameRate, nil
+	return length, frameRate, nil
 }
 
 // List returns the server's movie names.
-func (r *ReconnectClient) List() ([]string, error) {
-	resp, err := r.doReq(&Request{Op: OpListMovies})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Movies, nil
+func (r *ReconnectClient) List() (names []string, err error) {
+	err = r.call(func(c *Client) (err error) {
+		names, err = c.List()
+		return err
+	})
+	return names, err
 }
 
 // Play starts streaming a movie to streamAddr and remembers it for
@@ -370,16 +277,18 @@ func (r *ReconnectClient) Play(name, streamAddr string) (int64, error) {
 
 // PlayFrom starts streaming from a position with an optional count and
 // remembers the play for ResumeLastPlay.
-func (r *ReconnectClient) PlayFrom(name, streamAddr string, position, count int64) (int64, error) {
-	resp, err := r.doReq(&Request{Op: OpPlay, Movie: name, StreamAddr: streamAddr,
-		Position: position, Count: count})
+func (r *ReconnectClient) PlayFrom(name, streamAddr string, position, count int64) (streamID int64, err error) {
+	err = r.call(func(c *Client) (err error) {
+		streamID, err = c.PlayFrom(name, streamAddr, position, count)
+		return err
+	})
 	if err != nil {
 		return 0, err
 	}
 	r.mu.Lock()
 	r.last = &lastPlay{movie: name, addr: streamAddr, from: position, count: count}
 	r.mu.Unlock()
-	return resp.StreamID, nil
+	return streamID, nil
 }
 
 // ResumeLastPlay restarts the most recent Play/PlayFrom at acked — the
@@ -414,24 +323,27 @@ func (r *ReconnectClient) ResumeLastPlay(acked int64) (int64, error) {
 
 // Stop cancels a stream and returns the position reached. Stopping clears
 // the remembered play.
-func (r *ReconnectClient) Stop(streamID int64) (int64, error) {
-	resp, err := r.doReq(&Request{Op: OpStop, StreamID: streamID})
+func (r *ReconnectClient) Stop(streamID int64) (position int64, err error) {
+	err = r.call(func(c *Client) (err error) {
+		position, err = c.Stop(streamID)
+		return err
+	})
 	if err != nil {
 		return 0, err
 	}
 	r.mu.Lock()
 	r.last = nil
 	r.mu.Unlock()
-	return resp.Position, nil
+	return position, nil
 }
 
 // SeekTo repositions a live stream (see Client.SeekTo).
-func (r *ReconnectClient) SeekTo(streamID, position int64) (int64, error) {
-	resp, err := r.doReq(&Request{Op: OpSeek, StreamID: streamID, Position: position})
-	if err != nil {
-		return 0, err
-	}
-	return resp.Position, nil
+func (r *ReconnectClient) SeekTo(streamID, position int64) (reached int64, err error) {
+	err = r.call(func(c *Client) (err error) {
+		reached, err = c.SeekTo(streamID, position)
+		return err
+	})
+	return reached, err
 }
 
 // AwaitEvent waits for the next stream event on the current association.

@@ -51,6 +51,8 @@ type (
 	SimNet = spa.SimNet
 	// StackKind selects the generated or hand-coded control stack.
 	StackKind = core.StackKind
+	// StatusError is an operation the server answered with a non-OK status.
+	StatusError = core.StatusError
 	// Movie is a stored movie.
 	Movie = moviedb.Movie
 	// Store is a movie repository.
